@@ -12,7 +12,7 @@ bench:
 	pytest benchmarks/ --benchmark-only
 
 # Small-geometry kernel-speed run (non-gating in CI); writes
-# BENCH_kernels.json with cached/uncached and serial/parallel numbers.
+# BENCH_kernels.json with serial vs procpool vs mmap load numbers.
 bench-smoke:
 	PYTHONPATH=src python benchmarks/bench_kernel_speed.py --smoke
 

@@ -1,22 +1,13 @@
-"""Kernel-speed benchmark: plan-compiled vs interpreted SHIFT-SPLIT.
+"""Kernel-speed benchmark: the serial bulk load vs its parallel and
+file-backed variants.
 
-Times the standard-form bulk load (``transform_standard_chunked``) over
-1-d / 2-d / 3-d tiled-store geometries in three modes:
-
-``uncached``
-    the interpreted per-call path (``use_plans=False``) — the baseline;
-``cached``
-    the plan-compiled path with a warm plan cache;
-``workers``
-    the ordered ``workers=K`` pipeline (bit-identical, same I/O trace);
-
-then a separate **process-pool section** per geometry, with the pool
-sized to the whole tile footprint so the serial reference never
-evicts:
+Times the standard-form bulk load over 1-d / 2-d / 3-d tiled-store
+geometries, with the pool sized to the whole tile footprint so the
+serial reference never evicts:
 
 ``serial_cached``
-    warm serial plan path + flush — the parity baseline
-    (0 block reads, one write per tile);
+    ``transform_standard_chunked`` with a warm plan cache + flush — the
+    baseline (0 block reads, one write per tile);
 ``procpool``
     ``transform_standard_procpool`` scatter workers, auto-sized to one
     per CPU (``--procpool-workers`` overrides; on a 1-CPU box that is
@@ -30,9 +21,8 @@ evicts:
     ``MmapBlockDevice`` — asserted bit-identical with identical I/O
     counts (the file backend must cost no extra charged I/O).
 
-plus the non-standard bulk load cached vs uncached.  Every cached /
-parallel run is checked bit-identical to its baseline; the speedup is
-pure CPU, never bought with extra I/O.
+Every run is checked bit-identical to the baseline; a speedup is pure
+CPU, never bought with extra I/O.
 
 Writes ``BENCH_kernels.json`` (see ``--out``).  ``--smoke`` shrinks the
 geometries for CI.
@@ -54,121 +44,34 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.plans import clear_plan_caches, plan_cache_info
+from repro.core.plans import plan_cache_info
 from repro.storage.mmap_device import MmapBlockDevice
-from repro.storage.tiled import TiledNonStandardStore, TiledStandardStore
-from repro.transform.chunked import (
-    transform_nonstandard_chunked,
-    transform_standard_chunked,
-)
+from repro.storage.tiled import TiledStandardStore
+from repro.transform.chunked import transform_standard_chunked
 from repro.transform.procpool import transform_standard_procpool
 
 FULL_GEOMETRIES = [
-    {"name": "1d-4096", "shape": (4096,), "chunk": (256,), "block_edge": 64,
-     "pool": 32},
+    {"name": "1d-4096", "shape": (4096,), "chunk": (256,), "block_edge": 64},
     # The acceptance geometry: 1024^2 cells, 64^2 chunks, 16^2 tiles.
     {"name": "2d-1024", "shape": (1024, 1024), "chunk": (64, 64),
-     "block_edge": 16, "pool": 64},
+     "block_edge": 16},
     {"name": "3d-64", "shape": (64, 64, 64), "chunk": (16, 16, 16),
-     "block_edge": 8, "pool": 64},
+     "block_edge": 8},
 ]
 
 SMOKE_GEOMETRIES = [
-    {"name": "1d-512", "shape": (512,), "chunk": (64,), "block_edge": 16,
-     "pool": 16},
+    {"name": "1d-512", "shape": (512,), "chunk": (64,), "block_edge": 16},
     {"name": "2d-128", "shape": (128, 128), "chunk": (16, 16),
-     "block_edge": 8, "pool": 32},
+     "block_edge": 8},
     {"name": "3d-32", "shape": (32, 32, 32), "chunk": (8, 8, 8),
-     "block_edge": 4, "pool": 32},
+     "block_edge": 4},
 ]
-
-
-def _make_store(geom) -> TiledStandardStore:
-    return TiledStandardStore(
-        geom["shape"], block_edge=geom["block_edge"],
-        pool_capacity=geom["pool"],
-    )
 
 
 def _block_counts(stats) -> dict:
     return {
         "block_reads": stats.block_reads,
         "block_writes": stats.block_writes,
-    }
-
-
-def _timed_load(geom, data, repeats: int, **kwargs):
-    """Best-of-``repeats`` wall time of one bulk load configuration.
-
-    Returns ``(seconds, store, report)`` of the best run; every run
-    loads into a fresh store so I/O accounting starts from zero.
-    """
-    best = None
-    for __ in range(repeats):
-        store = _make_store(geom)
-        start = time.perf_counter()
-        report = transform_standard_chunked(
-            store, data, geom["chunk"], **kwargs
-        )
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best[0]:
-            best = (elapsed, store, report)
-    return best
-
-
-def bench_standard_geometry(geom, workers: int, repeats: int) -> dict:
-    rng = np.random.default_rng(7)
-    data = rng.standard_normal(geom["shape"])
-    cells = float(np.prod(geom["shape"]))
-
-    clear_plan_caches()
-    t_uncached, s_uncached, __ = _timed_load(
-        geom, data, repeats, use_plans=False
-    )
-    base_array = s_uncached.to_array()
-    base_stats = s_uncached.stats.snapshot()
-
-    # Prime the plan cache, then measure the warm plan path — the
-    # steady state of repeated loads / batch updates at one geometry.
-    _timed_load(geom, data, 1, use_plans=True)
-    t_cached, s_cached, __ = _timed_load(geom, data, repeats, use_plans=True)
-    assert np.array_equal(base_array, s_cached.to_array()), geom["name"]
-    assert base_stats == s_cached.stats.snapshot(), geom["name"]
-
-    t_workers, s_workers, __ = _timed_load(
-        geom, data, repeats, workers=workers
-    )
-    assert np.array_equal(base_array, s_workers.to_array()), geom["name"]
-    assert base_stats == s_workers.stats.snapshot(), geom["name"]
-
-    return {
-        "geometry": geom["name"],
-        "shape": list(geom["shape"]),
-        "chunk": list(geom["chunk"]),
-        "block_edge": geom["block_edge"],
-        "pool_capacity": geom["pool"],
-        "workers": workers,
-        "seconds": {
-            "uncached": t_uncached,
-            "cached": t_cached,
-            "workers": t_workers,
-        },
-        "cells_per_second": {
-            "uncached": cells / t_uncached,
-            "cached": cells / t_cached,
-            "workers": cells / t_workers,
-        },
-        "speedup_vs_uncached": {
-            "cached": t_uncached / t_cached,
-            "workers": t_uncached / t_workers,
-        },
-        "block_io": {
-            "uncached": _block_counts(base_stats),
-            "cached": _block_counts(s_cached.stats.snapshot()),
-            "workers": _block_counts(s_workers.stats.snapshot()),
-        },
-        "bit_identical": True,
-        "iostats_identical_serial_paths": True,
     }
 
 
@@ -302,63 +205,12 @@ def bench_procpool_geometry(geom, workers: int, trials: int) -> dict:
     }
 
 
-def bench_nonstandard_geometry(size: int, ndim: int, chunk_edge: int,
-                               block_edge: int, pool: int,
-                               repeats: int) -> dict:
-    rng = np.random.default_rng(11)
-    data = rng.standard_normal((size,) * ndim)
-    cells = float(size**ndim)
-
-    def load(use_plans: bool):
-        best = None
-        for __ in range(repeats):
-            store = TiledNonStandardStore(
-                size, ndim, block_edge=block_edge, pool_capacity=pool
-            )
-            start = time.perf_counter()
-            transform_nonstandard_chunked(
-                store, data, chunk_edge, use_plans=use_plans
-            )
-            elapsed = time.perf_counter() - start
-            if best is None or elapsed < best[0]:
-                best = (elapsed, store)
-        return best
-
-    clear_plan_caches()
-    t_uncached, s_uncached = load(False)
-    load(True)  # prime
-    t_cached, s_cached = load(True)
-    assert np.array_equal(s_uncached.to_array(), s_cached.to_array())
-    assert s_uncached.stats.snapshot() == s_cached.stats.snapshot()
-    return {
-        "geometry": f"ns-{ndim}d-{size}",
-        "size": size,
-        "ndim": ndim,
-        "chunk_edge": chunk_edge,
-        "block_edge": block_edge,
-        "seconds": {"uncached": t_uncached, "cached": t_cached},
-        "cells_per_second": {
-            "uncached": cells / t_uncached,
-            "cached": cells / t_cached,
-        },
-        "speedup_vs_uncached": {"cached": t_uncached / t_cached},
-        "block_io": {
-            "uncached": _block_counts(s_uncached.stats.snapshot()),
-            "cached": _block_counts(s_cached.stats.snapshot()),
-        },
-        "bit_identical": True,
-        "iostats_identical_serial_paths": True,
-    }
-
-
 def main(argv: Optional[list] = None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="small geometries for CI")
     parser.add_argument("--out", default="BENCH_kernels.json",
                         help="output JSON path")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="thread-pipeline workers (ordered mode)")
     parser.add_argument("--procpool-workers", type=int, default=0,
                         help="forked scatter workers (procpool mode); "
                              "0 = auto (one per CPU — forking more "
@@ -371,19 +223,7 @@ def main(argv: Optional[list] = None) -> dict:
     repeats = args.repeats or (1 if args.smoke else 3)
     procpool_workers = args.procpool_workers or (os.cpu_count() or 1)
 
-    results = {"mode": "smoke" if args.smoke else "full",
-               "standard": [], "procpool": [], "nonstandard": []}
-    for geom in geometries:
-        row = bench_standard_geometry(geom, args.workers, repeats)
-        results["standard"].append(row)
-        print(
-            f"[standard {row['geometry']}] uncached {row['seconds']['uncached']:.3f}s"
-            f" | cached {row['seconds']['cached']:.3f}s"
-            f" ({row['speedup_vs_uncached']['cached']:.2f}x)"
-            f" | workers={args.workers} {row['seconds']['workers']:.3f}s"
-            f" ({row['speedup_vs_uncached']['workers']:.2f}x)"
-        )
-
+    results = {"mode": "smoke" if args.smoke else "full", "procpool": []}
     procpool_trials = max(3 * repeats, 9) if not args.smoke else repeats
     for geom in geometries:
         row = bench_procpool_geometry(
@@ -400,17 +240,6 @@ def main(argv: Optional[list] = None) -> dict:
             f" | io {row['block_io']['procpool']['block_reads']}r/"
             f"{row['block_io']['procpool']['block_writes']}w identical"
         )
-
-    if args.smoke:
-        ns = bench_nonstandard_geometry(64, 2, 16, 8, 32, repeats)
-    else:
-        ns = bench_nonstandard_geometry(512, 2, 64, 16, 64, repeats)
-    results["nonstandard"].append(ns)
-    print(
-        f"[nonstandard {ns['geometry']}] uncached {ns['seconds']['uncached']:.3f}s"
-        f" | cached {ns['seconds']['cached']:.3f}s"
-        f" ({ns['speedup_vs_uncached']['cached']:.2f}x)"
-    )
 
     results["plan_caches"] = plan_cache_info()
     with open(args.out, "w") as handle:

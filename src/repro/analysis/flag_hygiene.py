@@ -1,10 +1,10 @@
 """REPRO-F001: robustness features are off by default.
 
-The repo's contract since the plans PR: every new capability —
-compiled plans aside (it is the documented exception, bit-identical
-and I/O-identical by proof), fault injection, journaling, degraded
-reads — must leave behavior and counters untouched unless explicitly
-switched on.  This rule enforces the mechanical half of that contract
+The repo's contract: every optional capability — fault injection,
+journaling, degraded reads — must leave behavior and counters
+untouched unless explicitly switched on.  (Compiled plans are not
+optional: they are the only SHIFT-SPLIT kernel path.)  This rule
+enforces the mechanical half of that contract
 on the feature modules (:mod:`repro.fault`, ``repro.storage.journal``,
 ``repro.core.plans``): a keyword default that *enables* something is a
 finding.

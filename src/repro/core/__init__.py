@@ -18,9 +18,6 @@ from repro.core.plans import (
     get_nonstandard_plan,
     get_standard_plan,
     plan_cache_info,
-    plans_enabled,
-    set_plans_enabled,
-    use_plans,
 )
 from repro.core.shiftsplit1d import (
     AxisShiftSplit,
@@ -59,8 +56,6 @@ __all__ = [
     "get_nonstandard_plan",
     "get_standard_plan",
     "plan_cache_info",
-    "plans_enabled",
-    "set_plans_enabled",
     "shift_regions_nonstandard",
     "shift_split_counts_nonstandard",
     "shift_split_region_counts",
@@ -69,5 +64,4 @@ __all__ = [
     "split_contributions_nonstandard",
     "split_weights",
     "split_weights_nonstandard",
-    "use_plans",
 ]

@@ -17,7 +17,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.plans import get_nonstandard_plan, plans_enabled
+from repro.core.plans import get_nonstandard_plan
 from repro.util.bits import ilog2
 from repro.util.validation import require_power_of_two
 from repro.wavelet.keys import NonStandardKey
@@ -174,21 +174,14 @@ def apply_chunk_nonstandard(
 
     Mirrors :func:`repro.core.standard_ops.apply_chunk_standard` for
     the non-standard form.  ``store`` implements the non-standard
-    store interface (dense or tiled).  Unless plans are disabled, the
-    chunk geometry (SHIFT regions, SPLIT keys and weights) comes from a
-    cached :class:`~repro.core.plans.NonStandardChunkPlan`.
+    store interface (dense or tiled).  The chunk geometry (SHIFT
+    regions, SPLIT keys and weights) comes from a cached
+    :class:`~repro.core.plans.NonStandardChunkPlan`.
     """
     chunk_hat = chunk if chunk_is_transformed else nonstandard_dwt(chunk)
-    if plans_enabled():
-        _check_geometry(store.size, chunk_hat.shape[0], grid_position)
-        plan = get_nonstandard_plan(
-            store.size, chunk_hat.shape[0], grid_position
-        )
-        plan.apply(store, chunk_hat, fresh=fresh)
-        return
-    apply_chunk_nonstandard_uncached(
-        store, chunk_hat, grid_position, fresh=fresh, chunk_is_transformed=True
-    )
+    _check_geometry(store.size, chunk_hat.shape[0], grid_position)
+    plan = get_nonstandard_plan(store.size, chunk_hat.shape[0], grid_position)
+    plan.apply(store, chunk_hat, fresh=fresh)
 
 
 def apply_chunk_nonstandard_uncached(

@@ -17,24 +17,22 @@ This module compiles that structure once into a :class:`StandardChunkPlan`
 numpy: one fancy gather + one multiply builds the contribution tensor,
 and each region is replayed through a
 :class:`~repro.storage.scatter.CompiledRegion` — zero per-call
-``np.unique``, recursion, or tuple-loop overhead.  The compiled path
-visits tiles in exactly the order the interpreted path does, so block
-I/O counts (the paper's currency) are **identical**; and because every
+``np.unique``, recursion, or tuple-loop overhead.
+
+Plans are the only production SHIFT-SPLIT path.  The interpreted
+``*_uncached`` functions of :mod:`repro.core.standard_ops` and
+:mod:`repro.core.nonstandard_ops` survive as the test oracle: the
+compiled path visits tiles in exactly the order they do, so block I/O
+counts (the paper's currency) are **identical**; and because every
 SHIFT/SPLIT weight is a signed power of two, the results are
 **bit-identical** too.
-
-The cache is enabled by default; set ``REPRO_DISABLE_PLANS=1`` (or use
-:func:`use_plans`) to fall back to the interpreted path, e.g. for the
-uncached baseline of ``benchmarks/bench_kernel_speed.py``.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -58,38 +56,7 @@ __all__ = [
     "get_standard_plan",
     "plan_cache_info",
     "plan_cache_stats",
-    "plans_enabled",
-    "set_plans_enabled",
-    "use_plans",
 ]
-
-_DISABLE_ENV = "REPRO_DISABLE_PLANS"
-_TRUTHY = {"1", "true", "yes", "on"}
-
-_plans_enabled = os.environ.get(_DISABLE_ENV, "").strip().lower() not in _TRUTHY
-
-
-def plans_enabled() -> bool:
-    """Whether SHIFT-SPLIT applications go through compiled plans."""
-    return _plans_enabled
-
-
-def set_plans_enabled(enabled: bool) -> bool:
-    """Set the global plan switch; returns the previous value."""
-    global _plans_enabled
-    previous = _plans_enabled
-    _plans_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_plans(enabled: bool):
-    """Context manager scoping the global plan switch."""
-    previous = set_plans_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_plans_enabled(previous)
 
 
 # ----------------------------------------------------------------------
@@ -103,11 +70,12 @@ class _PlanLRU:
     ``get_or_build`` releases the lock while building, so two threads
     racing on the same cold key may build the (pure, identical) plan
     twice; the second build simply replaces the first.  Besides the
-    hit/miss/eviction tallies the cache accounts its compile cost
-    (``builds`` / ``build_seconds``) and opens a ``plans.compile``
-    span per build when tracing is enabled, so plan compilation shows
-    up in traces as a distinct phase rather than vanishing into
-    whatever operation first needed the plan.
+    hit/miss/eviction tallies the cache counts its plan ``builds`` and
+    opens a ``plans.compile`` span per build when tracing is enabled.
+    ``build_seconds`` is the cache's whole compile cost: the plan
+    builds plus the per-tile regions a plan compiles lazily on its
+    first use against each tile geometry (:meth:`add_build_seconds`),
+    which are not builds of their own.
     """
 
     def __init__(self, capacity: int, name: str = "plans") -> None:
@@ -156,6 +124,11 @@ class _PlanLRU:
                 self._entries.popitem(last=False)
                 self.evictions += 1
         return entry
+
+    def add_build_seconds(self, seconds: float) -> None:
+        """Charge compile time spent outside :meth:`get_or_build`."""
+        with self._lock:
+            self.build_seconds += seconds
 
     def clear(self) -> None:
         with self._lock:
@@ -445,9 +418,11 @@ class StandardChunkPlan:
                 _kind_offset(mp, kind)
                 for mp, kind in zip(self.maps, region.kinds)
             ]
+            started = time.perf_counter()
             compiled = CompiledRegion.from_axis_groups(
                 groups, offsets, self.tensor_shape, block_edge
             )
+            _STANDARD_PLANS.add_build_seconds(time.perf_counter() - started)
             region._scatters[block_edge] = compiled
         return compiled
 
@@ -643,14 +618,9 @@ def plan_cache_info() -> Dict[str, Dict[str, int]]:
 def plan_cache_stats() -> Dict[str, Dict[str, float]]:
     """Observability view of the plan layer: per-cache LRU hit/miss/
     eviction counters plus compile cost (``builds`` and cumulative
-    ``build_seconds``), and whether the plan path is enabled at all.
-
-    This is what the service metrics and the traced benchmarks report;
-    :func:`plan_cache_info` remains the raw-cache-introspection name.
-    """
-    stats = plan_cache_info()
-    stats["enabled"] = {"plans": int(plans_enabled())}
-    return stats
+    ``build_seconds``) — the same dict as :func:`plan_cache_info`,
+    under the name the traced benchmarks read."""
+    return plan_cache_info()
 
 
 def clear_plan_caches() -> None:

@@ -16,11 +16,11 @@ the standard-store region interface (``set_region`` / ``add_region`` /
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.plans import StandardChunkPlan, get_standard_plan, plans_enabled
+from repro.core.plans import get_standard_plan
 from repro.core.shiftsplit1d import AxisShiftSplit, axis_shift_split
 from repro.util.validation import require_power_of_two_shape
 from repro.wavelet.standard import standard_dwt, standard_idwt
@@ -85,18 +85,14 @@ def apply_chunk_standard(
     grid_position: Sequence[int],
     fresh: bool = True,
     chunk_is_transformed: bool = False,
-    plan: Optional[StandardChunkPlan] = None,
 ) -> None:
     """Push one chunk into the global standard-form transform.
 
     Transforms the chunk in memory, SHIFTs its details into place and
     SPLITs its average into path contributions (Example 1 / Example 2
-    of the paper).
-
-    Unless plans are disabled (:mod:`repro.core.plans`), the chunk goes
-    through a cached :class:`~repro.core.plans.StandardChunkPlan` —
-    bit-identical results and identical I/O counts, minus the per-call
-    index recomputation.  Pass ``plan`` to skip even the cache lookup.
+    of the paper), through the cached
+    :class:`~repro.core.plans.StandardChunkPlan` of the chunk's
+    geometry.
 
     Parameters
     ----------
@@ -113,20 +109,12 @@ def apply_chunk_standard(
         positions belong to this chunk alone.  When False (batch
         *update* of existing data, Example 2), every target
         accumulates.
-    plan:
-        Optional pre-fetched plan for this exact geometry.
     """
     chunk_hat = chunk if chunk_is_transformed else standard_dwt(chunk)
-    if plan is None and plans_enabled():
-        require_power_of_two_shape(store.shape, "store shape")
-        require_power_of_two_shape(chunk_hat.shape, "chunk shape")
-        plan = get_standard_plan(store.shape, chunk_hat.shape, grid_position)
-    if plan is not None:
-        plan.apply(store, chunk_hat, fresh=fresh)
-        return
-    apply_chunk_standard_uncached(
-        store, chunk_hat, grid_position, fresh=fresh, chunk_is_transformed=True
-    )
+    require_power_of_two_shape(store.shape, "store shape")
+    require_power_of_two_shape(chunk_hat.shape, "chunk shape")
+    plan = get_standard_plan(store.shape, chunk_hat.shape, grid_position)
+    plan.apply(store, chunk_hat, fresh=fresh)
 
 
 def apply_chunk_standard_uncached(
@@ -139,8 +127,8 @@ def apply_chunk_standard_uncached(
     """The interpreted (plan-free) :func:`apply_chunk_standard`.
 
     Re-derives every per-axis mapping and region grouping on each call;
-    kept as the uncached baseline for ``bench_kernel_speed.py`` and as
-    the reference implementation the plan path is verified against.
+    kept as the reference implementation the plan path is verified
+    against.
     """
     chunk_hat = chunk if chunk_is_transformed else standard_dwt(chunk)
     maps = chunk_axis_maps(store.shape, chunk_hat.shape, grid_position)
@@ -202,18 +190,14 @@ def extract_region_transform_standard(
     stored coefficients — the wavelet-domain selection that stays in
     the wavelet domain.
 
-    With plans enabled the gather replays a compiled per-tile index
-    plan (same I/O, no per-call grouping).
+    The gather replays the compiled per-tile index plan of the region's
+    geometry (same I/O as the interpreted path, no per-call grouping).
     """
     region_shape = require_power_of_two_shape(region_shape, "region_shape")
     grid_position = _region_grid_position(corner, region_shape)
-    if plans_enabled():
-        require_power_of_two_shape(store.shape, "store shape")
-        plan = get_standard_plan(store.shape, region_shape, grid_position)
-        return plan.extract_transform(store)
-    return extract_region_transform_standard_uncached(
-        store, corner, region_shape
-    )
+    require_power_of_two_shape(store.shape, "store shape")
+    plan = get_standard_plan(store.shape, region_shape, grid_position)
+    return plan.extract_transform(store)
 
 
 def extract_region_transform_standard_uncached(

@@ -21,7 +21,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.core.nonstandard_ops import extract_region_nonstandard
-from repro.core.plans import get_standard_plan, plans_enabled
 from repro.core.standard_ops import extract_region_standard
 from repro.reconstruct.point import (
     point_query_nonstandard,
@@ -36,34 +35,7 @@ __all__ = [
     "reconstruct_box_pointwise",
     "reconstruct_full_standard",
     "reconstruct_full_nonstandard",
-    "warm_region_plans",
 ]
-
-
-def warm_region_plans(
-    store, starts: Sequence[int], stops: Sequence[int]
-) -> int:
-    """Pre-compile the extraction plans of a box's dyadic cover.
-
-    Each piece of the cover extracts through a cached
-    :class:`~repro.core.plans.StandardChunkPlan`; a latency-sensitive
-    caller (the query service warming up a hot region) can pay the
-    compilation cost ahead of the first query.  Touches no store data
-    and charges no I/O.  Returns the number of plans now resident;
-    no-op (returning 0) when plans are disabled.
-    """
-    if not plans_enabled():
-        return 0
-    count = 0
-    for box in dyadic_box_cover(
-        [int(s) for s in starts], [int(s) for s in stops]
-    ):
-        grid_position = tuple(
-            start // extent for start, extent in zip(box.starts, box.shape)
-        )
-        get_standard_plan(store.shape, box.shape, grid_position)
-        count += 1
-    return count
 
 
 def cubic_dyadic_cover(

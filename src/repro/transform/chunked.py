@@ -15,18 +15,9 @@ Non-standard form (Result 2)
     hit the disk before they are final, reaching the optimal
     ``O(N^d)`` (``O((N/B)^d)`` blocks).
 
-Both drivers run through the plan-compiled SHIFT-SPLIT path of
-:mod:`repro.core.plans` by default.  The standard driver additionally
-supports ``workers=K``: chunk fetch, DWT and plan compilation move to a
-thread pool while the main thread applies the precomputed contribution
-tensors *in chunk order* — bit-identical output and identical
-:class:`~repro.storage.iostats.IOStats` to the serial path.
-
-``parallel_apply`` is a deprecated no-op.  The old thread-scatter path
-pinned tiles per scatter on a sharded pool, which churned frames other
-threads needed and re-read blocks the serial trace never touched
-(3380 vs 1836 reads on the 2d-1024 benchmark).  Threads cannot fix
-that under the GIL; the replacement is
+Both drivers are one serial loop over the chunks, each chunk applied
+through its cached plan from :mod:`repro.core.plans`.  For concurrent
+scatters on a fresh tiled store use
 :func:`repro.transform.procpool.transform_standard_procpool`, which
 partitions tile ownership across processes so no tile is ever touched
 by two workers and the block-I/O trace matches the serial path
@@ -35,24 +26,12 @@ exactly.
 
 from __future__ import annotations
 
-import warnings
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.nonstandard_ops import (
-    shift_regions_nonstandard,
-    split_contributions_nonstandard,
-)
-from repro.core.plans import (
-    get_nonstandard_plan,
-    get_standard_plan,
-    plans_enabled,
-)
+from repro.core.plans import get_nonstandard_plan, get_standard_plan
 from repro.obs.tracer import get_tracer
-from repro.core.standard_ops import apply_chunk_standard_uncached
 from repro.transform.report import TransformReport
 from repro.util.morton import rowmajor_chunks, zorder_chunks
 from repro.util.validation import require_power_of_two_shape
@@ -68,9 +47,7 @@ __all__ = [
 
 #: A chunk supplier: either the full dense array, or a callable mapping
 #: a chunk grid position to the chunk's data (so benchmarks can stream
-#: synthetic data without materialising the whole cube).  With
-#: ``workers > 1`` a callable source is invoked from pool threads and
-#: must be thread-safe.
+#: synthetic data without materialising the whole cube).
 ChunkSource = Union[np.ndarray, Callable[[Tuple[int, ...]], np.ndarray]]
 
 
@@ -106,9 +83,6 @@ def transform_standard_chunked(
     chunk_shape: Sequence[int],
     order: str = "rowmajor",
     skip_zero_chunks: bool = False,
-    workers: int = 1,
-    parallel_apply: bool = False,
-    use_plans: Optional[bool] = None,
 ) -> TransformReport:
     """Bulk-load a standard-form transform chunk by chunk (Result 1).
 
@@ -121,58 +95,16 @@ def transform_standard_chunked(
     skipped entirely, as a chunk directory over sparse data would never
     fetch them.  Skipped chunks are counted in
     ``extras["skipped_chunks"]`` and charge no I/O.
-
-    Parameters
-    ----------
-    workers:
-        With ``workers > 1`` chunk fetch, DWT and plan compilation run
-        in a thread pool while the main thread applies each chunk's
-        precomputed contribution tensor in chunk order — bit-identical
-        coefficients and identical ``IOStats`` to ``workers=1``.
-        Requires the plan path (``use_plans`` must not be False).
-    parallel_apply:
-        Deprecated no-op.  The retired thread-scatter path amplified
-        block reads through pool-pin churn; passing ``True`` now emits
-        a :class:`DeprecationWarning` and runs the ordered pipeline
-        (or the serial loop for ``workers=1``) instead.  For truly
-        concurrent scatters use
-        :func:`repro.transform.procpool.transform_standard_procpool`.
-    use_plans:
-        Tri-state: ``None`` follows the global switch of
-        :mod:`repro.core.plans`; ``False`` forces the interpreted
-        per-call path (the uncached benchmark baseline).
     """
     domain = require_power_of_two_shape(store.shape, "store shape")
     chunk_shape = require_power_of_two_shape(chunk_shape, "chunk_shape")
-    if use_plans is None:
-        use_plans = plans_enabled()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers > 1 and not use_plans:
-        raise ValueError("workers > 1 requires the plan-compiled path")
-    if parallel_apply:
-        warnings.warn(
-            "parallel_apply is deprecated and ignored: the thread-scatter"
-            " path amplified block reads through pool-pin churn; use"
-            " repro.transform.procpool.transform_standard_procpool for"
-            " truly parallel scatters",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        parallel_apply = False
     grid_shape = tuple(
         extent // chunk_extent
         for extent, chunk_extent in zip(domain, chunk_shape)
     )
     getter = _chunk_getter(source, chunk_shape)
     report = TransformReport(
-        extras={
-            "order": order,
-            "form": "standard",
-            "skipped_chunks": 0,
-            "workers": workers,
-            "plans": bool(use_plans),
-        }
+        extras={"order": order, "form": "standard", "skipped_chunks": 0}
     )
     cells_per_chunk = int(np.prod(chunk_shape))
     tracer = get_tracer()
@@ -182,106 +114,24 @@ def transform_standard_chunked(
         shape=domain,
         chunk=tuple(chunk_shape),
         order=order,
-        workers=workers,
     ):
-        if workers == 1:
-            for grid_position in _chunk_order(order, grid_shape):
-                with tracer.span("chunk", grid=grid_position) as span:
-                    chunk = getter(grid_position)
-                    if skip_zero_chunks and not np.any(chunk):
-                        report.extras["skipped_chunks"] += 1
-                        span.set(skipped=True)
-                        continue
-                    report.source_reads += cells_per_chunk
-                    chunk_hat = standard_dwt(chunk)
-                    if use_plans:
-                        plan = get_standard_plan(
-                            domain, chunk_hat.shape, grid_position
-                        )
-                        plan.apply(store, chunk_hat, fresh=True)
-                    else:
-                        apply_chunk_standard_uncached(
-                            store,
-                            chunk_hat,
-                            grid_position,
-                            fresh=True,
-                            chunk_is_transformed=True,
-                        )
-                    report.chunks += 1
-        else:
-            _standard_chunked_parallel(
-                store,
-                getter,
-                domain,
-                grid_shape,
-                order,
-                skip_zero_chunks,
-                workers,
-                report,
-                cells_per_chunk,
-            )
+        for grid_position in _chunk_order(order, grid_shape):
+            with tracer.span("chunk", grid=grid_position) as span:
+                chunk = getter(grid_position)
+                if skip_zero_chunks and not np.any(chunk):
+                    report.extras["skipped_chunks"] += 1
+                    span.set(skipped=True)
+                    continue
+                report.source_reads += cells_per_chunk
+                chunk_hat = standard_dwt(chunk)
+                plan = get_standard_plan(domain, chunk_hat.shape, grid_position)
+                plan.apply(store, chunk_hat, fresh=True)
+                report.chunks += 1
 
         if hasattr(store, "flush"):
             store.flush()
     report.store_stats = store.stats.snapshot()
     return report
-
-
-def _standard_chunked_parallel(
-    store,
-    getter,
-    domain: Tuple[int, ...],
-    grid_shape: Tuple[int, ...],
-    order: str,
-    skip_zero_chunks: bool,
-    workers: int,
-    report: TransformReport,
-    cells_per_chunk: int,
-) -> None:
-    """The ``workers > 1`` pipeline behind ``transform_standard_chunked``.
-
-    Workers prepare ``(plan, flat contribution tensor)`` per chunk; the
-    main thread consumes completed futures *in submission order* and
-    applies them, so every store mutation (and hence the block-I/O
-    trace) happens in exactly the serial sequence.
-    """
-    tracer = get_tracer()
-    # Pool threads start with an empty span context, so each worker
-    # span attaches to the transform root explicitly.
-    root_span = tracer.current_span()
-
-    def prepare(grid_position):
-        with tracer.span(
-            "chunk.prepare", parent=root_span, grid=grid_position
-        ) as span:
-            chunk = getter(grid_position)
-            if skip_zero_chunks and not np.any(chunk):
-                span.set(skipped=True)
-                return None, None
-            chunk_hat = standard_dwt(chunk)
-            plan = get_standard_plan(domain, chunk_hat.shape, grid_position)
-            flat = plan.contributions(chunk_hat)
-            return plan, flat
-
-    def consume(future):
-        plan, flat = future.result()
-        if plan is None:
-            report.extras["skipped_chunks"] += 1
-            return
-        report.source_reads += cells_per_chunk
-        with tracer.span("chunk.apply", grid=plan.grid_position):
-            plan.apply_contributions(store, flat, fresh=True)
-        report.chunks += 1
-
-    window = 2 * workers
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        pending = deque()
-        for grid_position in _chunk_order(order, grid_shape):
-            pending.append(executor.submit(prepare, grid_position))
-            if len(pending) >= window:
-                consume(pending.popleft())
-        while pending:
-            consume(pending.popleft())
 
 
 class _CrestBuffer:
@@ -343,7 +193,6 @@ def transform_nonstandard_chunked(
     order: str = "zorder",
     buffer_crest: bool = True,
     skip_zero_chunks: bool = False,
-    use_plans: Optional[bool] = None,
 ) -> TransformReport:
     """Bulk-load a non-standard transform chunk by chunk (Result 2).
 
@@ -359,8 +208,7 @@ def transform_nonstandard_chunked(
     their zero SPLIT contributions are still booked — in memory, for
     free — so crest finalisation stays exact.)
 
-    Unless disabled (``use_plans`` / the global switch), the per-chunk
-    SHIFT regions and SPLIT path weights come from cached
+    The per-chunk SHIFT regions and SPLIT path weights come from cached
     :class:`~repro.core.plans.NonStandardChunkPlan` objects instead of
     being re-derived every chunk.
     """
@@ -369,21 +217,17 @@ def transform_nonstandard_chunked(
     grid_side = size // chunk_edge
     grid_shape = (grid_side,) * ndim
     getter = _chunk_getter(source, (chunk_edge,) * ndim)
-    if use_plans is None:
-        use_plans = plans_enabled()
     report = TransformReport(
         extras={
             "order": order,
             "form": "nonstandard",
             "buffered": buffer_crest,
             "skipped_chunks": 0,
-            "plans": bool(use_plans),
         }
     )
     cells_per_chunk = chunk_edge**ndim
     crest = _CrestBuffer(ndim) if buffer_crest else None
     scaling_accumulator = 0.0
-    chunk_level = chunk_edge.bit_length() - 1
 
     with get_tracer().span(
         "transform.nonstandard",
@@ -395,11 +239,7 @@ def transform_nonstandard_chunked(
         for grid_position in _chunk_order(order, grid_shape):
             chunk = getter(grid_position)
             skipped = skip_zero_chunks and not np.any(chunk)
-            plan = (
-                get_nonstandard_plan(size, chunk_edge, grid_position)
-                if use_plans
-                else None
-            )
+            plan = get_nonstandard_plan(size, chunk_edge, grid_position)
             if skipped:
                 report.extras["skipped_chunks"] += 1
                 if crest is None:
@@ -408,33 +248,21 @@ def transform_nonstandard_chunked(
             else:
                 report.source_reads += cells_per_chunk
                 chunk_hat = nonstandard_dwt(chunk)
-                shift_regions = (
-                    plan.shift_regions
-                    if plan is not None
-                    else shift_regions_nonstandard(size, chunk_edge, grid_position)
-                )
-                for level, mask, start, chunk_slices in shift_regions:
+                for level, mask, start, chunk_slices in plan.shift_regions:
                     store.set_details(
                         level, mask, start, chunk_hat[chunk_slices]
                     )
             average = (
                 0.0 if chunk_hat is None else float(chunk_hat[(0,) * ndim])
             )
-            if plan is not None:
-                details = plan.split_pairs(average)
-                gaps = plan.split_level_gaps
-                scaling_delta = average * plan.scaling_weight
-            else:
-                details, scaling_delta = split_contributions_nonstandard(
-                    size, chunk_edge, grid_position, average
-                )
-                gaps = [key.level - chunk_level for key, __ in details]
+            details = plan.split_pairs(average)
+            scaling_delta = average * plan.scaling_weight
             if crest is None:
                 for key, delta in details:
                     store.add_detail(key, delta)
                 store.add_scaling(scaling_delta)
             else:
-                for (key, delta), gap in zip(details, gaps):
+                for (key, delta), gap in zip(details, plan.split_level_gaps):
                     crest.add(key, delta, gap)
                 scaling_accumulator += scaling_delta
                 for (level, node), values in crest.pop_complete():

@@ -1,11 +1,9 @@
 """True process-parallel SHIFT-SPLIT bulk loads (no GIL, no pin churn).
 
-The thread-scatter experiment (``parallel_apply``) lost to serial
-cached plans: Python threads serialise the numpy scatters on the GIL
-while cross-worker tile pinning re-fetches blocks another worker just
-evicted (BENCH_kernels 2d-1024: 3380 block reads vs 1836 serial).
-This module replaces it with a ``multiprocessing`` scatter pool built
-on two facts:
+Python threads cannot speed up the scatters: they serialise the numpy
+work on the GIL, and cross-thread tile pinning re-fetches blocks
+another thread just evicted.  This module is a ``multiprocessing``
+scatter pool instead, built on two facts:
 
 * every coefficient of a standard-form bulk load lands in exactly one
   tile, and the set of ``(chunk, region)`` scatters that touch a tile
@@ -73,7 +71,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.plans import get_standard_plan, plans_enabled
+from repro.core.plans import get_standard_plan
 from repro.obs.tracer import Tracer, charge as _trace_charge
 from repro.obs.tracer import get_tracer, set_tracer, span_record
 from repro.storage.block_device import BlockDevice
@@ -924,18 +922,13 @@ def transform_standard_procpool(
 
     ``skip_zero_chunks`` needs the chunk values before the schedule is
     built, so it is supported for array sources only.  Requires the
-    plan-compiled path and the ``fork`` start method (inherited page
-    mappings are the zero-copy transport).
+    ``fork`` start method (inherited page mappings are the zero-copy
+    transport).
     """
     domain = require_power_of_two_shape(store.shape, "store shape")
     chunk_shape = require_power_of_two_shape(chunk_shape, "chunk_shape")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if not plans_enabled():
-        raise ProcPoolError(
-            "the process pool replays compiled plans; re-enable them "
-            "(repro.core.plans) to use it"
-        )
     if "fork" in multiprocessing.get_all_start_methods():
         ctx = multiprocessing.get_context("fork")
     else:
@@ -947,8 +940,8 @@ def transform_standard_procpool(
     if tile_store.num_tiles != 0:
         raise ProcPoolError(
             "the process pool is a fresh bulk loader; the store already "
-            f"holds {tile_store.num_tiles} tiles — use the serial or "
-            f"threaded driver for incremental loads"
+            f"holds {tile_store.num_tiles} tiles — load it through "
+            f"transform_standard_chunked instead"
         )
     if skip_zero_chunks and callable(source):
         raise ProcPoolError(
@@ -979,7 +972,6 @@ def transform_standard_procpool(
             "form": "standard",
             "skipped_chunks": skipped,
             "workers": workers,
-            "plans": True,
             "mode": "procpool",
         }
     )

@@ -17,12 +17,11 @@ they produce bit-identical transforms.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.nonstandard_ops import apply_chunk_nonstandard
-from repro.core.plans import StandardChunkPlan, get_standard_plan
 from repro.core.standard_ops import apply_chunk_standard
 from repro.util.validation import as_float_array, require_power_of_two_shape
 from repro.wavelet.tree import WaveletTree
@@ -31,7 +30,6 @@ __all__ = [
     "batch_update_standard",
     "batch_update_nonstandard",
     "naive_update_standard",
-    "standard_update_plan",
 ]
 
 
@@ -48,40 +46,21 @@ def _update_grid_position(
     return tuple(grid_position)
 
 
-def standard_update_plan(
-    store, block_shape: Sequence[int], corner: Sequence[int]
-) -> StandardChunkPlan:
-    """The memoised SHIFT-SPLIT plan of one update geometry.
-
-    A stream of same-shaped update batches at a fixed corner (a hot
-    cell block, a rolling window) hits the same plan every time; fetch
-    it once and pass it to :func:`batch_update_standard` to skip even
-    the per-call cache lookup.
-    """
-    block_shape = require_power_of_two_shape(block_shape, "block_shape")
-    return get_standard_plan(
-        store.shape, block_shape, _update_grid_position(corner, block_shape)
-    )
-
-
 def batch_update_standard(
     store,
     deltas,
     corner: Sequence[int],
-    plan: Optional[StandardChunkPlan] = None,
 ) -> None:
     """Apply a block of additive updates via SHIFT-SPLIT (Example 2).
 
     ``deltas`` is the dyadic update block (its shape must be a
     power-of-two box and ``corner`` aligned to it); every stored
     coefficient the block influences is updated in one batched pass.
-    ``plan`` optionally carries a pre-fetched
-    :func:`standard_update_plan` for this exact geometry.
     """
     deltas = as_float_array(deltas, "deltas")
     shape = require_power_of_two_shape(deltas.shape, "deltas shape")
     grid_position = _update_grid_position(corner, shape)
-    apply_chunk_standard(store, deltas, grid_position, fresh=False, plan=plan)
+    apply_chunk_standard(store, deltas, grid_position, fresh=False)
 
 
 def batch_update_nonstandard(

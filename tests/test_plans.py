@@ -1,6 +1,6 @@
-"""Plan-compiled SHIFT-SPLIT vs the interpreted path: bit-identity,
-I/O-trace identity, the parallel bulk-load pipeline, and the plan-cache
-machinery itself."""
+"""Plan-compiled SHIFT-SPLIT vs the interpreted ``*_uncached`` oracle:
+bit-identity, I/O-trace identity of the bulk-load drivers, and the
+plan-cache machinery itself."""
 
 import numpy as np
 import pytest
@@ -12,15 +12,13 @@ from repro.core import (
     apply_chunk_nonstandard_uncached,
     apply_chunk_standard,
     apply_chunk_standard_uncached,
+    clear_plan_caches,
     extract_region_transform_standard,
     extract_region_transform_standard_uncached,
     get_standard_plan,
     plan_cache_info,
-    plans_enabled,
-    set_plans_enabled,
     split_contributions_nonstandard,
     split_weights_nonstandard,
-    use_plans,
 )
 from repro.storage.dense import DenseNonStandardStore, DenseStandardStore
 from repro.storage.tiled import TiledNonStandardStore, TiledStandardStore
@@ -29,6 +27,7 @@ from repro.transform.chunked import (
     transform_nonstandard_chunked,
     transform_standard_chunked,
 )
+from repro.util.morton import rowmajor_chunks, zorder_chunks
 from repro.wavelet.keys import NonStandardKey
 
 # Small randomized geometries: per-axis domain exponents in [2, 5],
@@ -69,9 +68,8 @@ class TestStandardPlanEquivalence:
         tiled_base = TiledStandardStore(shape, block_edge=block_edge)
         dense_plan = DenseStandardStore(shape)
         dense_base = DenseStandardStore(shape)
-        with use_plans(True):
-            apply_chunk_standard(tiled_plan, data, grid, fresh=fresh)
-            apply_chunk_standard(dense_plan, data, grid, fresh=fresh)
+        apply_chunk_standard(tiled_plan, data, grid, fresh=fresh)
+        apply_chunk_standard(dense_plan, data, grid, fresh=fresh)
         apply_chunk_standard_uncached(tiled_base, data, grid, fresh=fresh)
         apply_chunk_standard_uncached(dense_base, data, grid, fresh=fresh)
 
@@ -91,16 +89,12 @@ class TestStandardPlanEquivalence:
         )
         corner = tuple(g * ce for g, ce in zip(grid, chunk))
         store = TiledStandardStore(shape, block_edge=block_edge)
-        with use_plans(True):
-            transform_standard_chunked(
-                store, rng.standard_normal(shape), chunk
-            )
+        transform_standard_chunked(store, rng.standard_normal(shape), chunk)
         mirror = TiledStandardStore(shape, block_edge=block_edge)
         mirror.set_region(
             [np.arange(extent) for extent in shape], store.to_array()
         )
-        with use_plans(True):
-            got = extract_region_transform_standard(store, corner, chunk)
+        got = extract_region_transform_standard(store, corner, chunk)
         want = extract_region_transform_standard_uncached(
             mirror, corner, chunk
         )
@@ -127,9 +121,8 @@ class TestNonStandardPlanEquivalence:
         tiled_base = TiledNonStandardStore(size, ndim, block_edge=2)
         dense_plan = DenseNonStandardStore(size, ndim)
         dense_base = DenseNonStandardStore(size, ndim)
-        with use_plans(True):
-            apply_chunk_nonstandard(tiled_plan, data, grid, fresh=fresh)
-            apply_chunk_nonstandard(dense_plan, data, grid, fresh=fresh)
+        apply_chunk_nonstandard(tiled_plan, data, grid, fresh=fresh)
+        apply_chunk_nonstandard(dense_plan, data, grid, fresh=fresh)
         apply_chunk_nonstandard_uncached(tiled_base, data, grid, fresh=fresh)
         apply_chunk_nonstandard_uncached(dense_base, data, grid, fresh=fresh)
 
@@ -164,7 +157,23 @@ class TestNonStandardPlanEquivalence:
             levels[0] = 0
 
 
+_CHUNK_ORDERS = {"rowmajor": rowmajor_chunks, "zorder": zorder_chunks}
+
+
+def _chunks(data, chunk_shape, order):
+    """``(grid_position, chunk)`` pairs in a driver's chunk order."""
+    grid_shape = [n // m for n, m in zip(data.shape, chunk_shape)]
+    for grid in _CHUNK_ORDERS[order](grid_shape):
+        selector = tuple(
+            slice(g * m, (g + 1) * m) for g, m in zip(grid, chunk_shape)
+        )
+        yield grid, data[selector]
+
+
 class TestBulkLoadDrivers:
+    """Each driver against a per-chunk loop of the ``_uncached`` oracle
+    in the driver's chunk order, ending with ``flush()``."""
+
     @settings(max_examples=8, deadline=None)
     @given(
         st.integers(1, 3),
@@ -177,28 +186,15 @@ class TestBulkLoadDrivers:
         rng = np.random.default_rng(seed)
         data = rng.standard_normal(shape)
 
-        def load(**kwargs):
-            store = TiledStandardStore(shape, block_edge=4, pool_capacity=16)
-            transform_standard_chunked(
-                store, data, chunk, order=order, **kwargs
-            )
-            return store
+        base = TiledStandardStore(shape, block_edge=4, pool_capacity=16)
+        for grid, values in _chunks(data, chunk, order):
+            apply_chunk_standard_uncached(base, values, grid, fresh=True)
+        base.flush()
+        cached = TiledStandardStore(shape, block_edge=4, pool_capacity=16)
+        transform_standard_chunked(cached, data, chunk, order=order)
 
-        base = load(use_plans=False)
-        cached = load(use_plans=True)
-        piped = load(workers=3)
-        with pytest.warns(DeprecationWarning, match="parallel_apply"):
-            shimmed = load(workers=3, parallel_apply=True)
-
-        want = base.to_array()
-        assert np.array_equal(want, cached.to_array())
-        assert np.array_equal(want, piped.to_array())
-        assert np.array_equal(want, shimmed.to_array())
-        # Serial plan path, the ordered pipeline, and the deprecation
-        # shim all replay the exact block-I/O trace.
+        assert np.array_equal(base.to_array(), cached.to_array())
         assert base.stats.snapshot() == cached.stats.snapshot()
-        assert base.stats.snapshot() == piped.stats.snapshot()
-        assert base.stats.snapshot() == shimmed.stats.snapshot()
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(1, 2), st.booleans(), st.integers(0, 10**6))
@@ -207,19 +203,24 @@ class TestBulkLoadDrivers:
         rng = np.random.default_rng(seed)
         data = rng.standard_normal((size,) * ndim)
 
-        def load(use_plans):
-            store = TiledNonStandardStore(
+        def fresh_store():
+            return TiledNonStandardStore(
                 size, ndim, block_edge=4, pool_capacity=16
             )
-            transform_nonstandard_chunked(
-                store, data, edge, buffer_crest=crest, use_plans=use_plans
-            )
-            return store
 
-        base = load(False)
-        cached = load(True)
+        base = fresh_store()
+        for grid, values in _chunks(data, (edge,) * ndim, "zorder"):
+            apply_chunk_nonstandard_uncached(base, values, grid, fresh=True)
+        base.flush()
+        cached = fresh_store()
+        transform_nonstandard_chunked(cached, data, edge, buffer_crest=crest)
+
         assert np.array_equal(base.to_array(), cached.to_array())
-        assert base.stats.snapshot() == cached.stats.snapshot()
+        # The crest buffer writes each SPLIT node once instead of
+        # read-modify-writing it per chunk, so only the unbuffered
+        # driver replays the oracle's I/O trace.
+        if not crest:
+            assert base.stats.snapshot() == cached.stats.snapshot()
 
     def test_sparse_pipeline_matches_serial(self):
         shape, chunk = (64, 64), (16, 16)
@@ -227,70 +228,22 @@ class TestBulkLoadDrivers:
         data = np.zeros(shape)
         data[:16, 32:48] = rng.standard_normal((16, 16))
 
-        def load(**kwargs):
-            store = TiledStandardStore(shape, block_edge=8, pool_capacity=16)
-            report = transform_standard_chunked(
-                store, data, chunk, skip_zero_chunks=True, **kwargs
-            )
-            return store, report
-
-        base, base_report = load(use_plans=False)
-        piped, piped_report = load(workers=3)
-        assert np.array_equal(base.to_array(), piped.to_array())
-        assert base.stats.snapshot() == piped.stats.snapshot()
-        assert (
-            base_report.extras["skipped_chunks"]
-            == piped_report.extras["skipped_chunks"]
-            == 15
+        base = TiledStandardStore(shape, block_edge=8, pool_capacity=16)
+        for grid, values in _chunks(data, chunk, "rowmajor"):
+            if np.any(values):
+                apply_chunk_standard_uncached(base, values, grid, fresh=True)
+        base.flush()
+        cached = TiledStandardStore(shape, block_edge=8, pool_capacity=16)
+        report = transform_standard_chunked(
+            cached, data, chunk, skip_zero_chunks=True
         )
 
-    def test_workers_require_plan_path(self):
-        store = TiledStandardStore((16, 16), block_edge=4)
-        data = np.zeros((16, 16))
-        with pytest.raises(ValueError):
-            transform_standard_chunked(
-                store, data, (8, 8), workers=2, use_plans=False
-            )
-
-    def test_parallel_apply_deprecation_shim(self):
-        # The retired thread-scatter path is a warn-and-ignore shim:
-        # any store and any worker count is accepted, and the result
-        # replays the serial block-I/O trace exactly.
-        rng = np.random.default_rng(11)
-        data = rng.standard_normal((16, 16))
-
-        def load(**kwargs):
-            store = TiledStandardStore((16, 16), block_edge=4)
-            transform_standard_chunked(store, data, (8, 8), **kwargs)
-            return store
-
-        base = load()
-        with pytest.warns(DeprecationWarning, match="parallel_apply"):
-            shimmed = load(workers=1, parallel_apply=True)
-        assert np.array_equal(base.to_array(), shimmed.to_array())
-        assert base.stats.snapshot() == shimmed.stats.snapshot()
-
-        dense = DenseStandardStore((16, 16))
-        with pytest.warns(DeprecationWarning, match="procpool"):
-            transform_standard_chunked(
-                dense, data, (8, 8), workers=2, parallel_apply=True
-            )
-        assert np.array_equal(base.to_array(), dense.to_array())
+        assert np.array_equal(base.to_array(), cached.to_array())
+        assert base.stats.snapshot() == cached.stats.snapshot()
+        assert report.extras["skipped_chunks"] == 15
 
 
 class TestPlanCacheMachinery:
-    def test_switch_scoping(self):
-        initial = plans_enabled()
-        with use_plans(False):
-            assert not plans_enabled()
-            with use_plans(True):
-                assert plans_enabled()
-            assert not plans_enabled()
-        assert plans_enabled() == initial
-        previous = set_plans_enabled(False)
-        assert previous == initial
-        set_plans_enabled(initial)
-
     def test_cache_hits_on_repeat_geometry(self):
         before = plan_cache_info()["standard_plans"]
         plan_a = get_standard_plan((64, 64), (16, 16), (1, 2))
@@ -302,6 +255,19 @@ class TestPlanCacheMachinery:
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError):
             get_standard_plan((64, 64), (16,), (0, 0))
+
+    def test_region_compiles_charge_build_seconds(self):
+        # A plan compiles its per-tile regions lazily, on its first use
+        # against each tile edge; that compile time is charged to
+        # build_seconds without counting as a plan build.
+        clear_plan_caches()
+        plan = get_standard_plan((32, 32), (8, 8), (1, 2))
+        before = plan_cache_info()["standard_plans"]
+        store = TiledStandardStore((32, 32), block_edge=4)
+        plan.apply(store, np.ones((8, 8)))
+        after = plan_cache_info()["standard_plans"]
+        assert after["builds"] == before["builds"]
+        assert after["build_seconds"] > before["build_seconds"]
 
 
 class TestCrestBuffer:

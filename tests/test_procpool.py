@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.plans import use_plans
 from repro.storage.dense import DenseStandardStore
 from repro.storage.journal import JournaledDevice
 from repro.storage.mmap_device import MmapBlockDevice
@@ -248,13 +247,6 @@ class TestErrorPaths:
             transform_standard_procpool(
                 self._fresh(), getter, (8, 8), skip_zero_chunks=True
             )
-
-    def test_requires_plan_path(self):
-        with use_plans(False):
-            with pytest.raises(ProcPoolError, match="plans"):
-                transform_standard_procpool(
-                    self._fresh(), np.zeros((16, 16)), (8, 8)
-                )
 
     def test_worker_failure_rolls_back_directory(self):
         # Blocks are pre-allocated and the directory restored before
