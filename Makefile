@@ -1,6 +1,6 @@
 # Convenience targets for the SHIFT-SPLIT reproduction.
 
-.PHONY: install test bench bench-smoke trace-smoke fault-smoke serve-smoke obs-smoke chaos-smoke racesan-smoke serve ci lint analyze experiments examples clean
+.PHONY: install test bench bench-e2e trace-smoke fault-smoke serve-smoke obs-smoke chaos-smoke racesan-smoke serve ci lint analyze experiments examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -11,10 +11,12 @@ test:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# Small-geometry kernel-speed run (non-gating in CI); writes
-# BENCH_kernels.json with serial vs procpool vs mmap load numbers.
-bench-smoke:
-	PYTHONPATH=src python benchmarks/bench_kernel_speed.py --smoke
+# End-to-end harness smoke (non-gating in CI): every BENCHMARK.json
+# workload on the smoke geometry, written to BENCH_e2e_smoke.json, then
+# the harness's own tests.
+bench-e2e:
+	python3 benchmarks/e2e/run.py --workload all --smoke --seconds 1 --out BENCH_e2e_smoke.json
+	python -m pytest benchmarks/e2e -q
 
 # Tiny traced serve-replay (non-gating in CI); writes TRACE_smoke.json
 # (Perfetto-loadable) + METRICS_smoke.prom and validates both formats

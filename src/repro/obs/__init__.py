@@ -65,7 +65,6 @@ from repro.obs.tracer import (
     charge,
     get_tracer,
     set_tracer,
-    span_record,
     tracing,
     zero_io,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "query_receipts",
     "set_heat",
     "set_tracer",
-    "span_record",
     "to_chrome_trace",
     "to_prometheus",
     "touch_read",

@@ -41,7 +41,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "IO_FIELDS",
@@ -53,7 +53,6 @@ __all__ = [
     "charge",
     "get_tracer",
     "set_tracer",
-    "span_record",
     "tracing",
     "zero_io",
 ]
@@ -130,26 +129,6 @@ class Span:
             f"parent={self.parent_id}, wall={self.wall_s:.6f}s, "
             f"io={self.io})"
         )
-
-
-def span_record(span: Span) -> Dict[str, Any]:
-    """Serialise a finished span to a picklable plain dict.
-
-    The wire format forked scatter workers ship over their results
-    queue; :meth:`Tracer.absorb` is the inverse.  Ids are the
-    recording tracer's — the absorbing tracer remaps them into its own
-    id space.
-    """
-    return {
-        "name": span.name,
-        "span_id": span.span_id,
-        "parent_id": span.parent_id,
-        "start_s": span.start_s,
-        "end_s": span.end_s,
-        "thread_id": span.thread_id,
-        "attrs": dict(span.attrs),
-        "io": dict(span.io),
-    }
 
 
 class _NullSpan:
@@ -243,13 +222,6 @@ class TraceStore:
         """Snapshot of the held spans, oldest first."""
         with self._lock:
             return list(self._spans)
-
-    def note_dropped(self, count: int) -> None:
-        """Account spans lost outside this store (e.g. a forked
-        worker's ring overflowed before its spans were shipped)."""
-        if count:
-            with self._lock:
-                self.dropped += count
 
     def clear(self) -> None:
         with self._lock:
@@ -358,60 +330,6 @@ class Tracer:
     def spans(self) -> List[Span]:
         """Snapshot of the finished spans, oldest first."""
         return self.store.spans()
-
-    def absorb(
-        self,
-        records: Sequence[Dict[str, Any]],
-        orphan_io: Optional[Dict[str, int]] = None,
-        parent: Optional[Span] = None,
-        dropped: int = 0,
-    ) -> List[Span]:
-        """Merge spans recorded by *another* tracer into this trace.
-
-        ``records`` are :func:`span_record` dicts (typically shipped
-        back from a forked worker's private tracer).  Every span gets
-        a fresh id from this tracer's counter — two processes both
-        count ids from 1, so the foreign ids are remapped, preserving
-        the foreign parent/child links; foreign roots are re-parented
-        under ``parent`` (e.g. the driver's ``transform.procpool``
-        span).  The foreign tracer's ``orphan_io`` is folded into this
-        tracer's orphan bucket and ``dropped`` into the store's drop
-        count, so the lossless invariant — merged span charges plus
-        orphans equal the global ``IOStats`` delta — survives the
-        process boundary.  Returns the absorbed spans.
-        """
-        mapping: Dict[int, Span] = {}
-        staged: List[Tuple[Span, Optional[int]]] = []
-        for record in records:
-            span = Span(record["name"], next(self._ids), None)
-            span.start_s = float(record.get("start_s", 0.0))
-            span.end_s = float(record.get("end_s", 0.0))
-            span.thread_id = int(record.get("thread_id", 0))
-            span.attrs.update(record.get("attrs") or {})
-            io = record.get("io") or {}
-            for field in IO_FIELDS:
-                span.io[field] = int(io.get(field, 0))
-            mapping[int(record["span_id"])] = span
-            staged.append((span, record.get("parent_id")))
-        parent_id = parent.span_id if parent is not None else None
-        absorbed: List[Span] = []
-        for span, foreign_parent in staged:
-            mapped = (
-                mapping.get(int(foreign_parent))
-                if foreign_parent is not None
-                else None
-            )
-            span.parent_id = (
-                mapped.span_id if mapped is not None else parent_id
-            )
-            self.store.add(span)
-            absorbed.append(span)
-        if orphan_io:
-            with self._orphan_lock:
-                for field in IO_FIELDS:
-                    self.orphan_io[field] += int(orphan_io.get(field, 0))
-        self.store.note_dropped(dropped)
-        return absorbed
 
 
 # ----------------------------------------------------------------------

@@ -45,15 +45,6 @@ keep a transient buffer export alive that makes ``mmap.resize`` raise
 ``BufferError`` and abort the writer.  Allocation itself
 (``allocate``/``restore_blocks``/``close``) still assumes a single
 writer, exactly like the simulated device.
-
-Fork notes (the process-parallel scatter pool relies on these): the
-mapping is ``MAP_SHARED``, so a forked child that writes through an
-inherited :class:`MmapBlockDevice` makes those bytes visible to the
-parent and durable in the file.  A mapping must **not** be resized
-while forked children hold it — pre-allocate every block the batch
-will touch before forking (``repro.transform.procpool`` does), and
-only the parent should :meth:`close`.  The gate is ordinary per-process
-thread state; children inherit an open gate and never resize.
 """
 
 from __future__ import annotations
@@ -164,8 +155,7 @@ class MmapBlockDevice:
         adopts the stored value).
     stats:
         Counter object to charge I/Os to; a fresh one is created when
-        omitted.  Reassignable — forked scatter workers install their
-        own :class:`IOStats` and report deltas back to the parent.
+        omitted.
     capacity_blocks:
         Initial file capacity (in blocks) when creating; the file
         grows geometrically as :meth:`allocate` passes it.

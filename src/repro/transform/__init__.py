@@ -5,22 +5,14 @@ from repro.transform.chunked import (
     transform_nonstandard_chunked,
     transform_standard_chunked,
 )
-from repro.transform.procpool import (
-    ProcPoolError,
-    release_pool_buffers,
-    transform_standard_procpool,
-)
 from repro.transform.report import TransformReport
 from repro.transform.vitter import vitter_io_cost, vitter_transform_standard
 
 __all__ = [
     "ChunkSource",
-    "ProcPoolError",
     "TransformReport",
-    "release_pool_buffers",
     "transform_nonstandard_chunked",
     "transform_standard_chunked",
-    "transform_standard_procpool",
     "vitter_io_cost",
     "vitter_transform_standard",
 ]

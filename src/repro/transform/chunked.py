@@ -16,12 +16,8 @@ Non-standard form (Result 2)
     ``O(N^d)`` (``O((N/B)^d)`` blocks).
 
 Both drivers are one serial loop over the chunks, each chunk applied
-through its cached plan from :mod:`repro.core.plans`.  For concurrent
-scatters on a fresh tiled store use
-:func:`repro.transform.procpool.transform_standard_procpool`, which
-partitions tile ownership across processes so no tile is ever touched
-by two workers and the block-I/O trace matches the serial path
-exactly.
+through its cached plan from :mod:`repro.core.plans`, so at most one
+chunk is in memory at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +30,10 @@ from repro.core.plans import get_nonstandard_plan, get_standard_plan
 from repro.obs.tracer import get_tracer
 from repro.transform.report import TransformReport
 from repro.util.morton import rowmajor_chunks, zorder_chunks
-from repro.util.validation import require_power_of_two_shape
+from repro.util.validation import (
+    require_power_of_two,
+    require_power_of_two_shape,
+)
 from repro.wavelet.keys import NonStandardKey
 from repro.wavelet.nonstandard import nonstandard_dwt
 from repro.wavelet.standard import standard_dwt
@@ -98,6 +97,13 @@ def transform_standard_chunked(
     """
     domain = require_power_of_two_shape(store.shape, "store shape")
     chunk_shape = require_power_of_two_shape(chunk_shape, "chunk_shape")
+    if len(chunk_shape) != len(domain) or any(
+        m > n for m, n in zip(chunk_shape, domain)
+    ):
+        raise ValueError(
+            f"chunk_shape {chunk_shape} must have the rank of the store "
+            f"shape {domain} and no larger extent"
+        )
     grid_shape = tuple(
         extent // chunk_extent
         for extent, chunk_extent in zip(domain, chunk_shape)
@@ -214,6 +220,11 @@ def transform_nonstandard_chunked(
     """
     size = store.size
     ndim = store.ndim
+    require_power_of_two(chunk_edge, "chunk_edge")
+    if chunk_edge > size:
+        raise ValueError(
+            f"chunk_edge {chunk_edge} exceeds the store size {size}"
+        )
     grid_side = size // chunk_edge
     grid_shape = (grid_side,) * ndim
     getter = _chunk_getter(source, (chunk_edge,) * ndim)

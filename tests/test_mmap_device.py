@@ -24,6 +24,16 @@ from repro.storage.mmap_device import (
     MmapFormatError,
 )
 from repro.storage.tiled import TiledStandardStore
+from repro.transform.chunked import transform_standard_chunked
+
+
+def _write_points(store, data):
+    for position in np.ndindex(*data.shape):
+        store.write_point(position, float(data[position]))
+
+
+def _chunked_load(store, data):
+    transform_standard_chunked(store, data, (8, 8))
 
 
 @pytest.fixture(params=["memory", "mmap"])
@@ -150,30 +160,44 @@ class TestDeviceContract:
         assert np.array_equal(peeked, np.array([5.0, 6.0]))
         assert device.stats.delta_since(before).block_ios == 0
 
-    def test_tiled_store_runs_on_either_backend(self, make_device):
-        # The whole tile-store stack is device-agnostic: same writes,
-        # same bytes, same counters.
-        rng = np.random.default_rng(3)
-        data = rng.standard_normal((8, 8))
-        results = []
-        for __ in range(2):
-            store = TiledStandardStore(
-                (8, 8),
-                block_edge=4,
-                pool_capacity=2,
-                device=make_device(16),
-            )
-            for position in np.ndindex(8, 8):
-                store.write_point(position, float(data[position]))
-            store.flush()
-            results.append(
-                (
-                    store.stats.snapshot(),
-                    store.tile_store.device.dump_blocks(),  # lint: uncounted (bit-identity check)
+    @pytest.mark.parametrize(
+        "load, shape",
+        [(_write_points, (8, 8)), (_chunked_load, (32, 32))],
+        ids=["points", "chunked_load"],
+    )
+    def test_tiled_store_runs_on_either_backend(self, load, shape, tmp_path):
+        # The whole tile-store stack is device-agnostic: the same load
+        # through a pool smaller than the tile footprint gives the same
+        # counters, bytes and directory on both backends, and the mmap
+        # arena reopens bit-identical.
+        data = np.random.default_rng(3).standard_normal(shape)
+        path = tmp_path / "arena.blocks"
+        with MmapBlockDevice(path, block_slots=16) as mapped_device:
+            stores = []
+            for device in (BlockDevice(16), mapped_device):
+                store = TiledStandardStore(
+                    shape, block_edge=4, pool_capacity=2, device=device
                 )
+                load(store, data)
+                store.flush()
+                stores.append(store)
+            memory, mapped = stores
+            assert mapped.tile_store.num_tiles > 2
+            assert mapped.stats.snapshot() == memory.stats.snapshot()
+            assert (
+                mapped.tile_store.directory()
+                == memory.tile_store.directory()
             )
-        assert results[0][0] == results[1][0]
-        np.testing.assert_array_equal(results[0][1], results[1][1])
+            image = memory.tile_store.device.dump_blocks()  # lint: uncounted (bit-identity check)
+            np.testing.assert_array_equal(
+                mapped_device.dump_blocks(),  # lint: uncounted (bit-identity check)
+                image,
+            )
+        with MmapBlockDevice(path) as reopened:
+            np.testing.assert_array_equal(
+                reopened.dump_blocks(),  # lint: uncounted (bit-identity check)
+                image,
+            )
 
 
 class TestMmapPersistence:

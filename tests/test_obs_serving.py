@@ -1,15 +1,13 @@
 """Serving-path telemetry tests: trace propagation over HTTP, request
-logs, the flight recorder, ``/debug/*`` endpoints, tile-heat
-accounting and cross-process span shipping.
+logs, the flight recorder, ``/debug/*`` endpoints and tile-heat
+accounting.
 
 The serving contract under test: every HTTP response carries a
 ``Traceparent`` continuing the caller's trace id (or minting one),
 every request leaves a structured receipt in the bounded request log,
 slow/degraded/faulted data-route receipts survive in the flight
 recorder, the ``/debug/*`` endpoints enforce the admin/tenant key
-model, heat counters attribute tile touches to ``(tenant, class)``,
-and a traced process-pool bulk load stays bit-identical *and*
-lossless across the fork boundary.
+model, and heat counters attribute tile touches to ``(tenant, class)``.
 """
 
 import io
@@ -21,7 +19,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.obs import IO_FIELDS, io_receipt, tracing
+from repro.obs import IO_FIELDS
 from repro.obs.exporters import heat_to_prometheus
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.heat import HeatRecorder, heat_context
@@ -36,8 +34,6 @@ from repro.olap.schema import Dimension
 from repro.server.demo import build_demo_hub
 from repro.server.http import spawn
 from repro.server.hub import ServingHub
-from repro.storage.tiled import TiledStandardStore
-from repro.transform.procpool import transform_standard_procpool
 
 _TRACEPARENT = re.compile(r"^00-[0-9a-f]{32}-[0-9a-f]{16}-[0-9a-f]{2}$")
 
@@ -436,46 +432,3 @@ class TestArenaTelemetry:
         finally:
             hub.close()
 
-
-def _procpool_load(workers):
-    """Seeded process-pool bulk load; returns comparable state."""
-    rng = np.random.default_rng(11)
-    data = rng.standard_normal((32, 32))
-    store = TiledStandardStore((32, 32), block_edge=8, pool_capacity=16)
-    transform_standard_procpool(store, data, (16, 16), workers=workers)
-    store.flush()
-    return (
-        store.stats.snapshot(),
-        store.tile_store.device.dump_blocks().copy(),
-        store.tile_store.directory(),
-    )
-
-
-class TestProcpoolSpanShipping:
-    """The fork boundary must not break bit-identity or losslessness."""
-
-    def test_traced_procpool_is_bit_identical(self):
-        stats_plain, blocks_plain, directory_plain = _procpool_load(2)
-        with tracing():
-            stats_traced, blocks_traced, directory_traced = _procpool_load(
-                2
-            )
-        assert stats_traced == stats_plain
-        assert directory_traced == directory_plain
-        np.testing.assert_array_equal(blocks_traced, blocks_plain)
-
-    def test_worker_spans_ship_back_lossless(self):
-        with tracing() as tracer:
-            stats, __b, __d = _procpool_load(2)
-        spans = tracer.spans()
-        receipt = io_receipt(spans, tracer.orphan_io)
-        for field in IO_FIELDS:
-            assert receipt["total"][field] == getattr(stats, field), field
-        workers = [s for s in spans if s.name == "procpool.worker"]
-        assert sorted(s.attrs["worker"] for s in workers) == [0, 1]
-        names = {s.name for s in spans}
-        assert {"worker.chunks", "worker.tiles"} <= names
-        # shipped spans re-parent under the pool span, not as roots
-        pool = [s for s in spans if s.name == "transform.procpool"]
-        assert len(pool) == 1
-        assert all(s.parent_id == pool[0].span_id for s in workers)

@@ -65,6 +65,17 @@ class TestStandardDriver:
                 store, np.zeros(8), (4,), order="diagonal"
             )
 
+    @pytest.mark.parametrize(
+        "chunk_shape",
+        [(4, 4, 4), (4,), (16, 4), (8, 16)],
+        ids=["extra-axis", "missing-axis", "too-large", "too-large-last"],
+    )
+    def test_malformed_chunk_shape_rejected(self, chunk_shape):
+        store = DenseStandardStore((8, 8))
+        with pytest.raises(ValueError, match="chunk_shape"):
+            transform_standard_chunked(store, np.ones((8, 8)), chunk_shape)
+        assert store.stats.coefficient_ios == 0
+
     def test_tiled_store_and_dense_store_agree(self):
         data = np.random.default_rng(3).normal(size=(32, 32))
         dense = DenseStandardStore((32, 32))
@@ -129,6 +140,17 @@ class TestNonStandardDriver:
             unbuffered.stats.coefficient_ios
             > buffered.stats.coefficient_ios
         )
+
+    @pytest.mark.parametrize(
+        "chunk_edge", [0, 32], ids=["zero", "too-large"]
+    )
+    def test_malformed_chunk_edge_rejected(self, chunk_edge):
+        store = DenseNonStandardStore(16, 2)
+        with pytest.raises(ValueError, match="chunk_edge"):
+            transform_nonstandard_chunked(
+                store, np.ones((16, 16)), chunk_edge
+            )
+        assert store.stats.coefficient_ios == 0
 
     def test_tiled_nonstandard_agrees(self):
         data = np.random.default_rng(7).normal(size=(16, 16))
