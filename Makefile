@@ -1,6 +1,6 @@
 # Convenience targets for the SHIFT-SPLIT reproduction.
 
-.PHONY: install test bench bench-e2e trace-smoke fault-smoke serve-smoke obs-smoke chaos-smoke racesan-smoke serve ci lint analyze experiments examples clean
+.PHONY: install test bench bench-e2e bench-ab trace-smoke fault-smoke serve-smoke obs-smoke chaos-smoke racesan-smoke serve ci lint analyze experiments examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -17,6 +17,13 @@ bench:
 bench-e2e:
 	python3 benchmarks/e2e/run.py --workload all --smoke --seconds 1 --out BENCH_e2e_smoke.json
 	python -m pytest benchmarks/e2e -q
+
+# Paired A/B of the end-to-end benchmark: BASE (a git revision) against
+# this tree, PAIRS seeds, run order alternated seed by seed; prints the
+# compare table and fails on any `worse` row (docs/performance.md).
+PAIRS ?= 3
+bench-ab:
+	python3 scripts/bench_ab.py --base $(BASE) --pairs $(PAIRS)
 
 # Tiny traced serve-replay (non-gating in CI); writes TRACE_smoke.json
 # (Perfetto-loadable) + METRICS_smoke.prom and validates both formats

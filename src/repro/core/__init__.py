@@ -17,7 +17,7 @@ from repro.core.plans import (
     clear_plan_caches,
     get_nonstandard_plan,
     get_standard_plan,
-    plan_cache_info,
+    plan_cache_stats,
 )
 from repro.core.shiftsplit1d import (
     AxisShiftSplit,
@@ -55,7 +55,7 @@ __all__ = [
     "extract_region_transform_standard_uncached",
     "get_nonstandard_plan",
     "get_standard_plan",
-    "plan_cache_info",
+    "plan_cache_stats",
     "shift_regions_nonstandard",
     "shift_split_counts_nonstandard",
     "shift_split_region_counts",

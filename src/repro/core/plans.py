@@ -54,7 +54,6 @@ __all__ = [
     "clear_plan_caches",
     "get_nonstandard_plan",
     "get_standard_plan",
-    "plan_cache_info",
     "plan_cache_stats",
 ]
 
@@ -604,8 +603,10 @@ def get_nonstandard_plan(
 # ----------------------------------------------------------------------
 
 
-def plan_cache_info() -> Dict[str, Dict[str, int]]:
-    """Hit/miss/size counters of every plan-layer cache."""
+def plan_cache_stats() -> Dict[str, Dict[str, float]]:
+    """Observability view of the plan layer: per-cache LRU hit/miss/
+    eviction counters plus compile cost (``builds`` and cumulative
+    ``build_seconds``)."""
     return {
         "standard_plans": _STANDARD_PLANS.info(),
         "nonstandard_plans": _NONSTANDARD_PLANS.info(),
@@ -613,14 +614,6 @@ def plan_cache_info() -> Dict[str, Dict[str, int]]:
         "axis_groups": _cached_axis_groups.cache_info()._asdict(),
         "axis_inverse_bases": _cached_axis_inverse_basis.cache_info()._asdict(),
     }
-
-
-def plan_cache_stats() -> Dict[str, Dict[str, float]]:
-    """Observability view of the plan layer: per-cache LRU hit/miss/
-    eviction counters plus compile cost (``builds`` and cumulative
-    ``build_seconds``) — the same dict as :func:`plan_cache_info`,
-    under the name the traced benchmarks read."""
-    return plan_cache_info()
 
 
 def clear_plan_caches() -> None:

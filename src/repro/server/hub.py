@@ -5,9 +5,7 @@ One :class:`ServingHub` owns the whole serving-side storage stack:
 * a single **shared block arena** — one raw
   :class:`~repro.storage.block_device.BlockDevice` wrapped in a
   :class:`~repro.storage.journal.JournaledDevice` (group-commit
-  durability, per-block L1 summaries for degraded error bounds) and a
-  :class:`~repro.service.deadline.DeadlineGuardDevice` (per-thread
-  cache-only scopes for deadline-degraded answers);
+  durability, per-block L1 summaries for degraded error bounds);
 * one **shared** :class:`~repro.service.pool.ShardedBufferPool` over
   that arena — the memory budget every tenant competes for;
 * per-cube :class:`~repro.olap.WaveletCube`\\ s constructed *on* the
@@ -57,7 +55,6 @@ from repro.replica.client import ReplicationClient
 from repro.replica.follower import FollowerEngine
 from repro.replica.shipper import JournalShipper
 from repro.server import persist
-from repro.service.deadline import DeadlineGuardDevice
 from repro.service.engine import QueryEngine
 from repro.service.metrics import MetricsRegistry
 from repro.service.pool import ShardedBufferPool
@@ -180,9 +177,8 @@ class ServingHub:
         directories) is mirrored to ``<data_dir>/hub_state.json`` on
         every mutation.  A hub constructed over an existing directory
         reopens the arena and serves the stored coefficients
-        bit-identically — no reload.  The journal and deadline-guard
-        layers stack on the mmap device exactly as on the in-memory
-        one.
+        bit-identically — no reload.  The journal layer stacks on the
+        mmap device exactly as on the in-memory one.
     """
 
     def __init__(
@@ -254,9 +250,8 @@ class ServingHub:
                 raw, seed=fault_seed, read_error_rate=fault_rate
             )
         self._journaled = JournaledDevice(device)
-        self._guard = DeadlineGuardDevice(self._journaled)
         self._pool = ShardedBufferPool(
-            self._guard, pool_blocks, num_shards=num_shards
+            self._journaled, pool_blocks, num_shards=num_shards
         )
         self._metrics = (
             metrics if metrics is not None else MetricsRegistry()
@@ -610,10 +605,6 @@ class ServingHub:
         return self._stats
 
     @property
-    def guard(self) -> DeadlineGuardDevice:
-        return self._guard
-
-    @property
     def admin_key(self) -> str:
         """Key unlocking the unfiltered ``/debug/*`` views."""
         return self._admin_key
@@ -736,7 +727,7 @@ class ServingHub:
             list(dimensions),
             block_edge=self.edge_for(len(dimensions)),
             pool_blocks=max(8, self._pool.capacity // 2),
-            device=self._guard,
+            device=self._journaled,
         )
         if data is not None:
             cube.load(np.asarray(data, dtype=np.float64), chunk_shape)

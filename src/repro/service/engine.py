@@ -163,6 +163,29 @@ class BatchResult:
         return self.block_reads / len(self.results)
 
 
+def _degraded_result(
+    outcome: Any, error: str, attempts: int = 1, latency_s: float = 0.0
+) -> QueryResult:
+    """The :class:`QueryResult` of an :func:`execute_query_degraded`
+    outcome: ``ok`` when nothing was missing, otherwise ``degraded``
+    with ``error`` and the outcome's absolute ``error_bound``."""
+    if isinstance(outcome, DegradedValue):
+        return QueryResult(
+            status=STATUS_DEGRADED,
+            value=outcome.value,
+            error=error,
+            latency_s=latency_s,
+            error_bound=outcome.error_bound,
+            attempts=attempts,
+        )
+    return QueryResult(
+        status=STATUS_OK,
+        value=outcome,
+        latency_s=latency_s,
+        attempts=attempts,
+    )
+
+
 class QueryEngine:
     """Thread-pooled query service over one standard-form tiled store.
 
@@ -213,11 +236,10 @@ class QueryEngine:
         :class:`QuotaError`.  ``None`` (default) means unbounded —
         the queue depth alone applies.
     degrade_on_deadline:
-        When ``True`` and the store's device chain contains a
-        :class:`~repro.service.deadline.DeadlineGuardDevice`, a query
-        whose deadline expired in the queue is answered from resident
-        blocks only (non-resident blocks zero-filled, sound
-        ``error_bound``) instead of a bare timeout.
+        When ``True``, a query whose deadline expired in the queue is
+        answered from resident blocks only (non-resident blocks
+        zero-filled, priced into ``error_bound`` from the device's
+        block summaries) instead of a bare timeout.
     """
 
     def __init__(
@@ -256,14 +278,6 @@ class QueryEngine:
         self._degraded_reads = degraded_reads
         self._degrade_on_deadline = degrade_on_deadline
         self._read_only = read_only
-        self._deadline_guard = None
-        if degrade_on_deadline:
-            device = store.tile_store.device
-            while device is not None:
-                if hasattr(device, "cache_only"):
-                    self._deadline_guard = device
-                    break
-                device = getattr(device, "inner", None)
         if pool is not None:
             self._pool = pool
         else:
@@ -554,16 +568,10 @@ class QueryEngine:
             # rather than piling retries onto a dead disk.
             self._counter("queries_shed").inc()
             if self._degraded_reads:
-                outcome = execute_query_degraded(self._store, query)
-                if isinstance(outcome, DegradedValue):
-                    return QueryResult(
-                        status=STATUS_DEGRADED,
-                        value=outcome.value,
-                        error="circuit breaker open; unreadable blocks "
-                        "zero-filled",
-                        error_bound=outcome.error_bound,
-                    )
-                return QueryResult(status=STATUS_OK, value=outcome)
+                return _degraded_result(
+                    execute_query_degraded(self._store, query),
+                    "circuit breaker open; unreadable blocks zero-filled",
+                )
             return QueryResult(
                 status=STATUS_ERROR,
                 error="circuit breaker open: device unavailable",
@@ -589,23 +597,16 @@ class QueryEngine:
             if breaker is not None:
                 breaker.on_failure()
             if self._degraded_reads:
-                outcome = execute_query_degraded(self._store, query)
-                attempts += 1
-                if isinstance(outcome, DegradedValue):
-                    return QueryResult(
-                        status=STATUS_DEGRADED,
-                        value=outcome.value,
-                        error=str(exc),
-                        error_bound=outcome.error_bound,
-                        attempts=attempts,
-                    )
+                result = _degraded_result(
+                    execute_query_degraded(self._store, query),
+                    str(exc),
+                    attempts=attempts + 1,
+                )
                 # The fault was transient and the degraded pass read
                 # everything after all: a full-fidelity answer.
-                if breaker is not None:
+                if result.ok and breaker is not None:
                     breaker.on_success()
-                return QueryResult(
-                    status=STATUS_OK, value=outcome, attempts=attempts
-                )
+                return result
             return QueryResult(
                 status=STATUS_ERROR, error=str(exc), attempts=attempts
             )
@@ -619,37 +620,27 @@ class QueryEngine:
     def _answer_from_cache(self, query: Query) -> Optional[QueryResult]:
         """Deadline-expired fallback: answer from resident blocks only.
 
-        Requires ``degrade_on_deadline`` and a
-        :class:`~repro.service.deadline.DeadlineGuardDevice` in the
-        store's device chain.  The query is re-run inside the guard's
-        ``cache_only`` scope: buffer-pool hits answer normally, device
-        reads are refused, refused blocks are zero-filled and the
-        degraded collector prices them into a sound ``error_bound``.
-        Returns ``None`` when the machinery is unavailable or the
-        cache-only pass itself fails — the caller falls back to a bare
-        timeout.
+        Requires ``degrade_on_deadline``.  The query is re-run in a
+        cache-only degraded scope: buffer-pool hits answer normally,
+        misses are refused before any device read, refused blocks are
+        zero-filled and priced into a sound ``error_bound``.  When
+        every block was resident the answer is exact and served ok.
+        Returns ``None`` when disabled or when the cache-only pass
+        itself fails — the caller falls back to a bare timeout.
         """
-        if not self._degrade_on_deadline or self._deadline_guard is None:
+        if not self._degrade_on_deadline:
             return None
         started = time.perf_counter()
         try:
-            with self._deadline_guard.cache_only():
-                outcome = execute_query_degraded(self._store, query)
+            outcome = execute_query_degraded(
+                self._store, query, cache_only=True
+            )
         except Exception:  # fall back to the plain timeout answer
             return None
-        latency = time.perf_counter() - started
-        if isinstance(outcome, DegradedValue):
-            return QueryResult(
-                status=STATUS_DEGRADED,
-                value=outcome.value,
-                error="deadline expired; non-resident blocks zero-filled",
-                latency_s=latency,
-                error_bound=outcome.error_bound,
-            )
-        # Every block the query needed was already resident: the
-        # cache-only pass produced a full-fidelity answer for free.
-        return QueryResult(
-            status=STATUS_OK, value=outcome, latency_s=latency
+        return _degraded_result(
+            outcome,
+            "deadline expired; non-resident blocks zero-filled",
+            latency_s=time.perf_counter() - started,
         )
 
     # ------------------------------------------------------------------

@@ -178,10 +178,10 @@ class ShardedBufferPool:
         with self._locks[shard]:
             return self._shards[shard].get(block_id, for_write=for_write)
 
-    def create(self, block_id: int, pin: bool = False) -> np.ndarray:
+    def create(self, block_id: int) -> np.ndarray:
         shard = self.shard_of(block_id)
         with self._locks[shard]:
-            return self._shards[shard].create(block_id, pin=pin)
+            return self._shards[shard].create(block_id)
 
     def mark_dirty(self, block_id: int) -> None:
         shard = self.shard_of(block_id)

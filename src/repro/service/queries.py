@@ -150,14 +150,16 @@ class DegradedValue:
     missing_blocks: Tuple[int, ...]
 
 
-def execute_query_degraded(store, query: Query):
+def execute_query_degraded(store, query: Query, cache_only: bool = False):
     """Run ``query`` tolerating unreadable blocks.
 
     Returns the plain value when every read succeeded, or a
     :class:`DegradedValue` when blocks had to be zero-filled.  Raises
-    only for failures outside the store's read path.
+    only for failures outside the store's read path.  With
+    ``cache_only=True`` the buffer pool refuses every miss, so only
+    resident blocks are read and no device read is issued.
     """
-    with collecting_degraded() as collector:
+    with collecting_degraded(cache_only=cache_only) as collector:
         value = execute_query(store, query)
     if not collector.degraded:
         return value

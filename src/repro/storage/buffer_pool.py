@@ -11,6 +11,12 @@ a block's array across other pool traffic — the batched query planner
 pins every prefetched block for the duration of a batch.  If every
 frame is pinned the pool temporarily overflows its capacity rather
 than failing; it shrinks back as pins are released.
+
+Inside a cache-only :func:`~repro.storage.degrade.collecting_degraded`
+scope the pool refuses every miss with
+:class:`~repro.storage.degrade.BlockNotResidentError` instead of
+reading the device (the miss is still counted), so a deadline-expired
+query answers from resident blocks alone.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import numpy as np
 from repro.obs.heat import touch_read as _heat_read, touch_write as _heat_write
 from repro.obs.tracer import charge as _trace_charge, get_tracer
 from repro.storage.block_device import BlockDevice
+from repro.storage.degrade import BlockNotResidentError, active_collector
 
 __all__ = ["BufferPool"]
 
@@ -136,6 +143,9 @@ class BufferPool:
                 frame.pins += 1
         else:
             self._count_miss()
+            collector = active_collector()
+            if collector is not None and collector.cache_only:
+                raise BlockNotResidentError(block_id)
             with get_tracer().span("pool.fetch", block=block_id):
                 data = self._device.read_block(block_id)
             frame = _Frame(data)
@@ -153,22 +163,17 @@ class BufferPool:
             _heat_write(block_id)
         return frame.data
 
-    def create(self, block_id: int, pin: bool = False) -> np.ndarray:
+    def create(self, block_id: int) -> np.ndarray:
         """Install a fresh zero-filled frame for a newly allocated block.
 
         No device read is charged — the block has never been written,
         so its (zero) contents are known without touching the disk.
         The frame starts dirty and will be written back on eviction.
-        ``pin=True`` pins the frame before it can be seen by any
-        eviction pass, so create-and-pin is atomic (concurrent bulk
-        loaders rely on this to mutate a fresh tile safely).
         """
         if block_id in self._frames:
             raise KeyError(f"block {block_id} is already resident")
         frame = _Frame(np.zeros(self._device.block_slots, dtype=np.float64))
         frame.dirty = True
-        if pin:
-            frame.pins += 1
         self._frames[block_id] = frame
         self._evict_if_needed(protect=block_id)
         _heat_write(block_id)

@@ -15,6 +15,12 @@ store — on a read failure *inside that scope only* — records a
 frame, so the zeros can never be mistaken for cached truth by later
 non-degraded reads).  Outside the scope nothing changes: read failures
 propagate exactly as before.
+
+A ``cache_only`` scope treats "no time left" as "unreadable": the
+buffer pool refuses every miss with :class:`BlockNotResidentError`
+before it reaches the device, so a deadline-expired query is answered
+from resident blocks alone, with the same ``W * ||block||_1`` bound
+per refused block and zero block reads.
 """
 
 from __future__ import annotations
@@ -26,11 +32,23 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterator, List, Optional
 
 __all__ = [
+    "BlockNotResidentError",
     "DegradedCollector",
     "MissingBlock",
     "active_collector",
     "collecting_degraded",
 ]
+
+
+class BlockNotResidentError(IOError):
+    """Read refused: the deadline budget allows no device I/O."""
+
+    def __init__(self, block_id: int) -> None:
+        super().__init__(
+            f"block {block_id} is not resident and the deadline "
+            f"budget allows no device read"
+        )
+        self.block_id = block_id
 
 
 @dataclass(frozen=True)
@@ -51,9 +69,13 @@ class MissingBlock:
 
 @dataclass
 class DegradedCollector:
-    """Accumulates the blocks zero-filled during one query evaluation."""
+    """Accumulates the blocks zero-filled during one query evaluation.
+
+    With ``cache_only`` set, buffer-pool misses are refused instead of
+    read, so every non-resident block is zero-filled and recorded."""
 
     missing: List[MissingBlock] = field(default_factory=list)
+    cache_only: bool = False
 
     @property
     def degraded(self) -> bool:
@@ -90,12 +112,16 @@ def active_collector() -> Optional[DegradedCollector]:
 
 
 @contextmanager
-def collecting_degraded() -> Iterator[DegradedCollector]:
+def collecting_degraded(
+    cache_only: bool = False,
+) -> Iterator[DegradedCollector]:
     """Scope within which tile-read failures degrade to zero-fills.
 
     Yields the :class:`DegradedCollector` that will hold whatever went
-    missing; inspect ``collector.degraded`` / ``error_bound`` after."""
-    collector = DegradedCollector()
+    missing; inspect ``collector.degraded`` / ``error_bound`` after.
+    ``cache_only=True`` also refuses every device read on a pool miss
+    (the deadline-expired path)."""
+    collector = DegradedCollector(cache_only=cache_only)
     token = _collector.set(collector)
     try:
         yield collector

@@ -6,8 +6,8 @@ blocks in a dict and counts I/Os; every byte dies with the process.
 single memory-mapped file so tile stores survive restarts without the
 pickle persist path, while charging :class:`IOStats` *identically* —
 the device is a drop-in replacement under the whole arena chain
-(``JournaledDevice``, ``DeadlineGuardDevice``, buffer pools, tile
-stores) and under the crash matrix.
+(``JournaledDevice``, buffer pools, tile stores) and under the crash
+matrix.
 
 On-disk layout (little-endian)::
 

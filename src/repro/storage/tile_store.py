@@ -10,7 +10,7 @@ of a transform under construction.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterator, Optional, Tuple
+from typing import Dict, Hashable, Iterator, Optional
 
 import numpy as np
 
@@ -40,11 +40,11 @@ class TileStore:
         An existing device to store tiles on instead of creating a
         private :class:`BlockDevice`.  Its ``block_slots`` must equal
         ``block_slots``.  The multi-tenant serving layer passes one
-        shared (journaled, deadline-guarded) device to every tenant's
-        store: block ids stay globally unique because all allocation
-        goes through the one device, so the tenants can also share one
-        buffer pool.  ``stats`` is ignored when ``device`` is given —
-        the device already carries its counter.
+        shared (journaled) device to every tenant's store: block ids
+        stay globally unique because all allocation goes through the
+        one device, so the tenants can also share one buffer pool.
+        ``stats`` is ignored when ``device`` is given — the device
+        already carries its counter.
     """
 
     def __init__(
@@ -138,27 +138,6 @@ class TileStore:
             return data
         return self._pool.get(block_id, for_write=for_write)
 
-    def tile_pinned(self, key: Hashable) -> "Tuple[int, np.ndarray]":
-        """Fetch-or-create tile ``key`` with its pool frame pinned.
-
-        Returns ``(block_id, data)``; the caller must
-        ``pool.unpin(block_id)`` when done mutating.  The pin is taken
-        before any eviction pass can see the frame, so the returned
-        array stays resident for the pin's duration even under
-        concurrent pool traffic.  Directory access itself is *not*
-        locked here — concurrent callers (the parallel bulk loader)
-        serialise :meth:`tile_pinned` calls behind their own lock.
-        """
-        block_id = self._directory.get(key)
-        if block_id is None:
-            block_id = self._device.allocate()
-            self._directory[key] = block_id
-            return block_id, self._pool.create(block_id, pin=True)
-        fetch_and_pin = getattr(self._pool, "fetch_and_pin", None)
-        if fetch_and_pin is not None:
-            return block_id, fetch_and_pin(block_id)
-        return block_id, self._pool.get(block_id, pin=True)
-
     def block_of(self, key: Hashable) -> Optional[int]:
         """Device block id of tile ``key`` (``None`` if never
         materialised).  Uncounted — used by the query planner to pin
@@ -170,9 +149,10 @@ class TileStore:
         when the tile was never materialised.
 
         Inside a :func:`repro.storage.degrade.collecting_degraded`
-        scope a read failure (injected fault, checksum mismatch) is
-        recorded with the block's durable L1 summary and a *fresh* zero
-        array is returned; no pool frame is installed, so the
+        scope a read failure (injected fault, checksum mismatch, or a
+        miss the pool refuses under ``cache_only``) is recorded with
+        the block's durable L1 summary and a *fresh* zero array is
+        returned; no pool frame is installed, so the
         substituted zeros are never cached as truth.  Outside such a
         scope failures propagate unchanged.
         """

@@ -11,7 +11,6 @@ paper's tiled SHIFT-SPLIT does (Section 4.2).
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,20 +22,6 @@ from repro.tiling.standard import StandardTiling
 from repro.wavelet.keys import NonStandardKey
 
 __all__ = ["TiledStandardStore", "TiledNonStandardStore"]
-
-#: Debug env var forcing duplicate-index validation on for every tiled
-#: region call (see :class:`TiledStandardStore`'s ``validate_regions``).
-VALIDATE_ENV = "REPRO_VALIDATE_REGIONS"
-
-
-def _env_validate_default() -> bool:
-    return os.environ.get(VALIDATE_ENV, "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-        "on",
-    }
-
 
 def _group_by_tile(
     bands: np.ndarray, roots: np.ndarray
@@ -70,7 +55,6 @@ class TiledStandardStore:
         block_edge: int,
         pool_capacity: int = 8,
         stats: Optional[IOStats] = None,
-        validate_regions: Optional[bool] = None,
         device=None,
     ) -> None:
         self._tiling = StandardTiling(shape, block_edge)
@@ -80,15 +64,6 @@ class TiledStandardStore:
             pool_capacity=pool_capacity,
             stats=stats,
             device=device,
-        )
-        # Duplicate-index validation costs an np.unique per axis on
-        # every region call; plan-driven traffic is duplicate-free by
-        # construction, so the check is opt-in (constructor flag, or
-        # the REPRO_VALIDATE_REGIONS env var for debugging).
-        self._validate_regions = (
-            _env_validate_default()
-            if validate_regions is None
-            else bool(validate_regions)
         )
 
     @property
@@ -119,27 +94,21 @@ class TiledStandardStore:
 
     # ------------------------------------------------------------------
 
-    def _axis_groups(
-        self,
-        per_axis: Sequence[np.ndarray],
-        validate: Optional[bool] = None,
-    ):
+    def _axis_groups(self, per_axis: Sequence[np.ndarray]):
         """Locate and tile-group every axis' index array.
 
-        ``validate`` overrides the store's duplicate-index check for
-        this call (``None`` = store default).  Duplicated positions
-        would make fancy-index accumulation silently drop updates, so
-        turn the check on when handing the store untrusted index sets.
+        Duplicated positions would make fancy-index accumulation
+        silently drop updates, so they are rejected, as in the dense
+        and naive stores.
         """
         if len(per_axis) != self.ndim:
             raise ValueError(
                 f"need {self.ndim} index arrays, got {len(per_axis)}"
             )
-        check = self._validate_regions if validate is None else validate
         located = []
         for axis, indices in enumerate(per_axis):
             flat = np.asarray(indices, dtype=np.int64)
-            if check and np.unique(flat).size != flat.size:
+            if np.unique(flat).size != flat.size:
                 raise ValueError(
                     f"axis {axis} index array contains duplicates"
                 )
@@ -152,10 +121,9 @@ class TiledStandardStore:
         per_axis: Sequence[np.ndarray],
         values: np.ndarray,
         accumulate: bool,
-        validate: Optional[bool] = None,
     ) -> None:
         values = np.asarray(values, dtype=np.float64)
-        located = self._axis_groups(per_axis, validate=validate)
+        located = self._axis_groups(per_axis)
         edge_shape = (self._edge,) * self.ndim
 
         def recurse(axis: int, tile_parts: list, selectors: list) -> None:
@@ -185,30 +153,20 @@ class TiledStandardStore:
         recurse(0, [], [])
 
     def set_region(
-        self,
-        per_axis: Sequence[np.ndarray],
-        values: np.ndarray,
-        validate: Optional[bool] = None,
+        self, per_axis: Sequence[np.ndarray], values: np.ndarray
     ) -> None:
         """Overwrite the cross-product region, tile by tile."""
-        self._update_region(per_axis, values, accumulate=False, validate=validate)
+        self._update_region(per_axis, values, accumulate=False)
 
     def add_region(
-        self,
-        per_axis: Sequence[np.ndarray],
-        values: np.ndarray,
-        validate: Optional[bool] = None,
+        self, per_axis: Sequence[np.ndarray], values: np.ndarray
     ) -> None:
         """Accumulate into the cross-product region, tile by tile."""
-        self._update_region(per_axis, values, accumulate=True, validate=validate)
+        self._update_region(per_axis, values, accumulate=True)
 
-    def read_region(
-        self,
-        per_axis: Sequence[np.ndarray],
-        validate: Optional[bool] = None,
-    ) -> np.ndarray:
+    def read_region(self, per_axis: Sequence[np.ndarray]) -> np.ndarray:
         """Read the cross-product region, tile by tile."""
-        located = self._axis_groups(per_axis, validate=validate)
+        located = self._axis_groups(per_axis)
         out_shape = tuple(np.asarray(axis).size for axis in per_axis)
         out = np.zeros(out_shape, dtype=np.float64)
         edge_shape = (self._edge,) * self.ndim

@@ -16,7 +16,7 @@ from repro.core import (
     extract_region_transform_standard,
     extract_region_transform_standard_uncached,
     get_standard_plan,
-    plan_cache_info,
+    plan_cache_stats,
     split_contributions_nonstandard,
     split_weights_nonstandard,
 )
@@ -245,10 +245,10 @@ class TestBulkLoadDrivers:
 
 class TestPlanCacheMachinery:
     def test_cache_hits_on_repeat_geometry(self):
-        before = plan_cache_info()["standard_plans"]
+        before = plan_cache_stats()["standard_plans"]
         plan_a = get_standard_plan((64, 64), (16, 16), (1, 2))
         plan_b = get_standard_plan((64, 64), (16, 16), (1, 2))
-        after = plan_cache_info()["standard_plans"]
+        after = plan_cache_stats()["standard_plans"]
         assert plan_a is plan_b
         assert after["hits"] >= before["hits"] + 1
 
@@ -262,10 +262,10 @@ class TestPlanCacheMachinery:
         # build_seconds without counting as a plan build.
         clear_plan_caches()
         plan = get_standard_plan((32, 32), (8, 8), (1, 2))
-        before = plan_cache_info()["standard_plans"]
+        before = plan_cache_stats()["standard_plans"]
         store = TiledStandardStore((32, 32), block_edge=4)
         plan.apply(store, np.ones((8, 8)))
-        after = plan_cache_info()["standard_plans"]
+        after = plan_cache_stats()["standard_plans"]
         assert after["builds"] == before["builds"]
         assert after["build_seconds"] > before["build_seconds"]
 

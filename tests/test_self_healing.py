@@ -26,6 +26,7 @@ from repro.service.queries import (
     CustomQuery,
     PointQuery,
     RangeSumQuery,
+    execute_query,
     execute_query_degraded,
     DegradedValue,
     query_weight_bound,
@@ -218,10 +219,29 @@ class TestDegradedQueries:
         store.drop_cache()
         execute_query_degraded(store, RangeSumQuery((0, 0), (15, 15)))
         faulty["dev"].broken_blocks.clear()  # fault heals
-        from repro.service.queries import execute_query
-
         value = execute_query(store, PointQuery((5, 5)))
         assert np.isclose(value, data[5, 5])
+
+    def test_cache_only_reads_no_blocks(self):
+        store, data = _store(wrap=JournaledDevice)
+        query = RangeSumQuery((1, 2), (13, 9))
+        truth = float(data[1:14, 2:10].sum())
+        before = store.stats.snapshot()
+        outcome = execute_query_degraded(store, query, cache_only=True)
+        delta = store.stats.delta_since(before)
+        assert isinstance(outcome, DegradedValue)
+        assert delta.block_reads == 0
+        assert delta.cache_misses == len(outcome.missing_blocks)
+        assert np.isfinite(outcome.error_bound)
+        assert abs(outcome.value - truth) <= outcome.error_bound
+        # Refused misses installed no frames: a normal pass reads them
+        # once, after which a cache-only pass is exact.
+        warm = execute_query(store, query)
+        before = store.stats.snapshot()
+        again = execute_query_degraded(store, query, cache_only=True)
+        assert not isinstance(again, DegradedValue)
+        assert again == warm
+        assert store.stats.delta_since(before).block_reads == 0
 
     def test_weight_bounds(self):
         store, __ = _store()

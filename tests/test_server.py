@@ -228,18 +228,25 @@ class TestUpdateEndpoint:
 
 
 class TestDeadlineDegradation:
-    def test_expired_deadline_is_206_with_sound_bounds(self):
-        hub = build_demo_hub(seed=23, pool_blocks=8)
+    @pytest.mark.parametrize("backend", ["memory", "mmap"])
+    def test_expired_deadline_is_206_with_sound_bounds(
+        self, backend, tmp_path
+    ):
+        data_dir = str(tmp_path / "hub") if backend == "mmap" else None
+        hub = build_demo_hub(seed=23, pool_blocks=8, data_dir=data_dir)
         server, __thread = spawn(hub)
         host, port = server.server_address
         base = f"http://{host}:{port}"
         try:
+            reads_before = hub.stats.block_reads
             code, body = _request(
                 base,
                 "/cube/sales/aggregate?drilldown=time",
                 key="acme-key",
                 headers={"X-Deadline-Ms": "0"},
             )
+            # expired queries answer from resident blocks only
+            assert hub.stats.block_reads == reads_before
             assert code == 206
             assert body["status"] == "degraded"
             degraded = [

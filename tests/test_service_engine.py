@@ -326,15 +326,13 @@ class TestQuotaAndQueueHwm:
 class TestDeadlineDegradedReads:
     """Expired deadlines answer from resident blocks with sound bounds."""
 
-    def _guarded_engine(self):
-        from repro.service.deadline import DeadlineGuardDevice
+    def _journaled_engine(self):
         from repro.storage.journal import JournaledDevice
 
         store, data = build_store(
             shape=(32, 32), block_edge=4, pool_capacity=16, seed=13
         )
         store.tile_store.wrap_device(JournaledDevice)
-        store.tile_store.wrap_device(DeadlineGuardDevice)
         engine = QueryEngine(
             store,
             num_workers=2,
@@ -344,7 +342,7 @@ class TestDeadlineDegradedReads:
         return engine, data
 
     def test_expired_deadline_cold_cache_degrades_with_bound(self):
-        engine, data = self._guarded_engine()
+        engine, data = self._journaled_engine()
         try:
             result = engine.run(RangeSumQuery((0, 0), (31, 31)), timeout=0.0)
             assert result.status == "degraded"
@@ -360,7 +358,7 @@ class TestDeadlineDegradedReads:
             engine.close()
 
     def test_expired_deadline_warm_cache_is_full_fidelity(self):
-        engine, data = self._guarded_engine()
+        engine, data = self._journaled_engine()
         try:
             query = RangeSumQuery((0, 7), (7, 15))
             warm = engine.run(query)  # faults the blocks in
@@ -372,11 +370,3 @@ class TestDeadlineDegradedReads:
             assert again.value == warm.value
         finally:
             engine.close()
-
-    def test_without_guard_expired_deadline_still_times_out(self):
-        store, __ = build_store(shape=(16, 16), block_edge=4)
-        with QueryEngine(
-            store, num_workers=1, degrade_on_deadline=True
-        ) as engine:
-            result = engine.run(PointQuery((0, 0)), timeout=0.0)
-        assert result.status == "timeout"

@@ -184,38 +184,16 @@ class TestDuplicateIndexGuard:
                 [np.asarray([1, 1]), np.arange(2)], np.ones((2, 2))
             )
 
-    def test_tiled_rejects_duplicates_when_enabled(self):
-        store = TiledStandardStore((8, 8), block_edge=2, validate_regions=True)
-        with pytest.raises(ValueError):
-            store.set_region(
-                [np.asarray([3, 3]), np.arange(2)], np.ones((2, 2))
-            )
-
-    def test_tiled_per_call_validate_overrides_default(self):
+    def test_tiled_rejects_duplicates_in_every_op(self):
         store = TiledStandardStore((8, 8), block_edge=2)
-        with pytest.raises(ValueError):
-            store.set_region(
-                [np.asarray([3, 3]), np.arange(2)],
-                np.ones((2, 2)),
-                validate=True,
-            )
-
-    def test_tiled_validation_defaults_off(self):
-        # Plan-driven traffic is duplicate-free by construction, so the
-        # per-call np.unique check is opt-in; duplicated rows collapse
-        # silently (last write wins) when it is off.
-        store = TiledStandardStore((8, 8), block_edge=2)
-        store.set_region(
-            [np.asarray([3, 3]), np.arange(2)], np.ones((2, 2))
-        )
-
-    def test_tiled_validation_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VALIDATE_REGIONS", "1")
-        store = TiledStandardStore((8, 8), block_edge=2)
-        with pytest.raises(ValueError):
-            store.set_region(
-                [np.asarray([3, 3]), np.arange(2)], np.ones((2, 2))
-            )
+        duplicated = [np.asarray([3, 3]), np.arange(2)]
+        with pytest.raises(ValueError, match="duplicates"):
+            store.set_region(duplicated, np.ones((2, 2)))
+        with pytest.raises(ValueError, match="duplicates"):
+            store.add_region(duplicated, np.ones((2, 2)))
+        with pytest.raises(ValueError, match="duplicates"):
+            store.read_region(duplicated)
+        assert store.tile_store.num_tiles == 0
 
     def test_naive_rejects_duplicates(self):
         store = NaiveBlockedStandardStore((8, 8), block_edge=2)
